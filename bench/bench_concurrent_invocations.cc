@@ -109,8 +109,11 @@ struct Measurement {
 Measurement MeasureConfig(ChannelPair& pair, int threads, std::size_t depth,
                           Duration duration) {
   giop::GiopClient client(pair.client.get(), {});
+  // Four upcall workers with a 256-deep queue; declared before the server,
+  // which must not outlive its pool.
+  giop::DispatchPool pool(4, 256);
   giop::GiopServer::Options server_opts;
-  server_opts.worker_threads = 4;
+  server_opts.pool = &pool;
   giop::GiopServer server(pair.server.get(), Echo, server_opts);
   cool::Thread server_thread([&server] { (void)server.Serve(); });
 

@@ -527,13 +527,13 @@ def check_no_buffer_copies(path: Path, clean: str,
         )
 
 
-# --- rule 10: reactor-owned I/O in src/transport and src/giop ----------------
-# The event-driven connection engine exists so that connections cost reactor
-# registrations, not threads. New thread spawns and new blocking-receive
-# call sites in these directories bypass it; each allowed site is the
-# machinery itself or a documented fallback.
+# --- rule 10: reactor-owned I/O in src/transport, src/giop and src/orb --------
+# The event-driven connection engine exists so that connections and client
+# bindings cost reactor registrations, not threads. New thread spawns and
+# new blocking-receive call sites in these directories bypass it; each
+# allowed site is the machinery itself or a documented exception.
 
-REACTOR_DIRS = ("src/transport/", "src/giop/")
+REACTOR_DIRS = ("src/transport/", "src/giop/", "src/orb/")
 
 # Thread construction from a lambda: the cool::Thread wrapper as a
 # temporary/member init (`Thread([`), a named local (`Thread t([`), or an
@@ -544,12 +544,15 @@ THREAD_SPAWN_RE = re.compile(
 THREAD_SPAWN_ALLOWLIST = {
     "src/transport/reactor.cc": ["WorkerLoop"],  # the reactor's own workers
     "src/transport/epoll_poller.cc": ["Loop(stop)"],  # kernel-fd poll loop
-    # Legacy input-callback utility (paper §5 callback API), pre-reactor.
-    "src/transport/input_callback.cc": ["Run(st)"],
-    # Fallback reader thread when no reactor is configured, and the
-    # private worker pool of pool-less GiopServers.
-    "src/giop/engine.cc": ["ReaderLoop(stop)", "WorkerLoop()"],
     "src/giop/dispatch_pool.cc": ["WorkerLoop()"],  # the shared pool itself
+    # Asynchronous-reply invocation (paper Fig. 8 "notify"): one short-lived
+    # thread per call runs the blocking Invoke and the user callback, which
+    # may block too — neither may run on a reactor worker.
+    "src/orb/stub.cc": ["async_threads_.emplace_back(["],
+    # Fig. 7 alternative (ii) server: the Da CaPo acceptor has no
+    # readiness seam, so one accept thread per Alt2Server (not per
+    # connection) blocks in Accept.
+    "src/orb/giop_module.cc": ["AcceptLoop(st)"],
 }
 
 # Blocking receive call sites (TryReceiveMessage is the non-blocking
@@ -558,13 +561,14 @@ THREAD_SPAWN_ALLOWLIST = {
 BLOCKING_RECV_RE = re.compile(r"(?<![\w:])ReceiveMessage\s*\(")
 
 BLOCKING_RECV_ALLOWLIST = {
-    # The synchronous convenience API on the ComChannel base (SendReceive
-    # and the legacy input-callback pump) — explicitly blocking by contract.
+    # The synchronous convenience API on the ComChannel base (Call,
+    # PollDeferred and Notify's reply wait) — explicitly blocking by
+    # contract.
     "src/transport/com_channel.cc": ["ReceiveMessage(timeout)",
                                      "ReceiveMessage(seconds(30))"],
-    # ReaderLoop's poll quantum (reactor fallback) and the blocking
-    # ServeOne used by transports without a non-blocking receive path.
-    "src/giop/engine.cc": ["options_.reader_poll", "ReceiveMessage(timeout)"],
+    # The blocking GiopServer::ServeOne, which drives a server directly
+    # over a channel (tests, benches); the ORB feeds HandleFrame instead.
+    "src/giop/engine.cc": ["ReceiveMessage(timeout)"],
     # COOL wire protocol: the deliberately simple ablation baseline.
     "src/giop/cool_protocol.cc": ["ReceiveMessage(timeout)"],
 }

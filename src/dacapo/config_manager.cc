@@ -56,10 +56,15 @@ double ConfigurationManager::EstimateThroughputKbps(
   // Modules form a thread pipeline: sustained rate is set by the slowest
   // stage, not the sum of stages.
   const double pipeline_bps = pkt * 8.0 / (max_stage_us / 1e6);
-  const double wire_goodput_bps = static_cast<double>(net.bandwidth_bps) *
-                                  pkt / (pkt + static_cast<double>(header_bytes));
-
-  double bps = std::min(pipeline_bps, wire_goodput_bps);
+  double bps = pipeline_bps;
+  // bandwidth_bps == 0 is an unpaced link (as in sim::LinkProperties): the
+  // wire imposes no goodput cap.
+  if (net.bandwidth_bps != 0) {
+    const double wire_goodput_bps =
+        static_cast<double>(net.bandwidth_bps) * pkt /
+        (pkt + static_cast<double>(header_bytes));
+    bps = std::min(bps, wire_goodput_bps);
+  }
   if (window_limit_bps >= 0) bps = std::min(bps, window_limit_bps);
   return bps / 1000.0;
 }
@@ -80,9 +85,12 @@ double ConfigurationManager::EstimateLatencyMicros(
                      kQueueHopUs;
   }
 
+  // An unpaced link (bandwidth_bps == 0) adds no serialization term.
   const double serialization_us =
-      (pkt + static_cast<double>(header_bytes)) * 8.0 /
-      static_cast<double>(net.bandwidth_bps) * 1e6;
+      net.bandwidth_bps == 0
+          ? 0.0
+          : (pkt + static_cast<double>(header_bytes)) * 8.0 /
+                static_cast<double>(net.bandwidth_bps) * 1e6;
   const double propagation_us = static_cast<double>(net.rtt_us) / 2.0;
   return processing_us + serialization_us + propagation_us;
 }

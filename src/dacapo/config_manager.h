@@ -21,7 +21,7 @@ namespace cool::dacapo {
 
 // What layer T offers underneath the configured protocol.
 struct NetworkEstimate {
-  std::uint64_t bandwidth_bps = 100'000'000;
+  std::uint64_t bandwidth_bps = 100'000'000;  // 0 = unpaced (no wire cap)
   std::uint32_t rtt_us = 1000;
   double loss_rate = 0.0;             // datagram loss of the raw service
   std::size_t typical_packet_bytes = 8 * 1024;

@@ -14,15 +14,17 @@ cdr::Decoder GiopClient::Reply::MakeResultsDecoder() const {
   return dec;
 }
 
+GiopClient::GiopClient(transport::ComChannel* channel, Options options)
+    : channel_(channel), options_(std::move(options)) {
+  if (options_.reactor == nullptr) {
+    options_.reactor = &transport::Reactor::Default();
+  }
+}
+
 GiopClient::~GiopClient() {
-  if (reactor_registered_) {
-    // Barrier: no demux callback is running once Remove returns.
-    options_.reactor->Remove(rx_reg_);
-  }
-  if (reader_.joinable()) {
-    reader_.request_stop();
-    reader_.join();
-  }
+  // Barrier: no demux callback is running once Remove returns (a no-op
+  // for id 0, i.e. an engine that never registered).
+  options_.reactor->Remove(rx_reg_);
 }
 
 ByteBuffer GiopClient::BuildRequestHead(
@@ -59,24 +61,20 @@ Status GiopClient::SendSerializedV(const ByteBuffer& head,
   return channel_->SendMessageV(parts);
 }
 
-void GiopClient::EnsureReaderLocked() {
-  if (reader_started_) return;
-  reader_started_ = true;
-  if (options_.reactor != nullptr) {
-    auto reg = options_.reactor->Add(
-        [this](const sim::WaitSet& set, std::uint64_t token) {
-          return channel_->RegisterRx(set, token);
-        },
-        [this] { DrainReactor(); });
-    if (reg.ok()) {
-      reactor_registered_ = true;
-      rx_reg_ = *reg;
-      return;
-    }
-    // Channel has no non-blocking receive path: fall back to the polling
-    // reader thread below.
+Status GiopClient::EnsureDemuxLocked() {
+  if (rx_reg_ != 0) return Status::Ok();
+  auto reg = options_.reactor->Add(
+      [this](const sim::WaitSet& set, std::uint64_t token) {
+        return channel_->RegisterRx(set, token);
+      },
+      [this] { DrainReactor(); });
+  if (!reg.ok()) {
+    // No non-blocking receive path: nothing could ever deliver a reply.
+    broken_ = reg.status();
+    return broken_;
   }
-  reader_ = Thread([this](std::stop_token stop) { ReaderLoop(stop); });
+  rx_reg_ = *reg;
+  return Status::Ok();
 }
 
 Result<ParsedMessage> GiopClient::AwaitSlot(corba::ULong id,
@@ -90,7 +88,7 @@ Result<ParsedMessage> GiopClient::AwaitSlot(corba::ULong id,
   }
   if (!slot->done) {
     if (abandon_on_timeout) {
-      // The Reply may still arrive; remember the id so the demux reader
+      // The Reply may still arrive; remember the id so the demux
       // discards it instead of flagging an unknown-id protocol error.
       pending_.erase(id);
       AbandonLocked(id);
@@ -100,20 +98,6 @@ Result<ParsedMessage> GiopClient::AwaitSlot(corba::ULong id,
   }
   pending_.erase(id);
   return std::move(slot->outcome);
-}
-
-void GiopClient::ReaderLoop(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    auto raw = channel_->ReceiveMessage(options_.reader_poll);
-    if (!raw.ok()) {
-      if (raw.status().code() == ErrorCode::kDeadlineExceeded) {
-        continue;  // idle poll quantum: re-check the stop token
-      }
-      FailPending(raw.status(), /*terminal=*/true);
-      return;
-    }
-    if (HandleFrame(*std::move(raw))) return;
-  }
 }
 
 void GiopClient::DrainReactor() {
@@ -387,22 +371,6 @@ Status GiopServer::DispatchAndReply(const DispatchJob& job) {
   return SendSerializedV(head, result.body.view());
 }
 
-DispatchPool* GiopServer::EnsurePrivatePool() {
-  MutexLock lock(pool_mu_);
-  if (pool_closed_) return nullptr;
-  if (private_pool_ == nullptr) {
-    DispatchPool::Options pool_options;
-    pool_options.workers = options_->worker_threads;
-    pool_options.queue_capacity = options_->queue_capacity;
-    pool_options.scheduler = options_->scheduler;
-    pool_options.codel_enabled = options_->codel_enabled;
-    pool_options.codel_target = options_->codel_target;
-    pool_options.codel_interval = options_->codel_interval;
-    private_pool_ = std::make_unique<DispatchPool>(pool_options);
-  }
-  return private_pool_.get();
-}
-
 void GiopServer::RunDispatchJob(const DispatchJob& job) {
   {
     // Last-chance cancel: a CancelRequest that raced the dequeue.
@@ -468,22 +436,15 @@ void GiopServer::RememberCancelLocked(corba::ULong id) {
 }
 
 void GiopServer::Close() {
-  DispatchPool* private_pool = nullptr;
   {
     MutexLock lock(pool_mu_);
     if (pool_closed_) return;
     pool_closed_ = true;
-    private_pool = private_pool_.get();
   }
   if (options_->pool != nullptr) {
-    // Shared pool: barrier out our queued and in-flight jobs; the pool
-    // itself lives on for other connections.
+    // Barrier out our queued and in-flight jobs; the pool itself lives on
+    // for other connections.
     options_->pool->DetachRunner(runner_id_);
-  }
-  if (private_pool != nullptr) {
-    // Private pool: drain queued upcalls and join its workers. The object
-    // itself lives until the destructor (HandleCancel may still read it).
-    private_pool->Close();
   }
   MutexLock lock(pool_mu_);
   cancel_memory_.reset();
@@ -511,45 +472,25 @@ Status GiopServer::HandleRequest(ParsedMessage msg) {
   job.header = *std::move(header);
   job.msg = std::move(msg);
 
-  if (options_->pool == nullptr && options_->worker_threads == 0) {
-    return DispatchAndReply(job);  // historical inline mode
-  }
-  // Shared or private pool: the request's QoS parameters become a full
-  // scheduling profile (band + weight + rate), the classify stage of the
-  // hierarchical scheduler. Submit runs outside pool_mu_ — it blocks for
-  // backpressure.
-  DispatchPool* pool = options_->pool;
-  if (pool == nullptr) {
-    pool = EnsurePrivatePool();
-    if (pool == nullptr) {
-      return Status(CancelledError("server worker pool is closed"));
-    }
-  }
+  if (options_->pool == nullptr) return DispatchAndReply(job);  // inline
+  // The request's QoS parameters become a full scheduling profile (band +
+  // weight + rate), the classify stage of the hierarchical scheduler.
+  // Submit runs outside pool_mu_ — it blocks for backpressure.
   const qos::SchedProfile profile =
       qos::ClassifyForScheduling(job.header.qos_params);
-  if (!pool->Submit(this, runner_id_, profile, std::move(job))) {
+  if (!options_->pool->Submit(this, runner_id_, profile, std::move(job))) {
     return Status(CancelledError("server dispatch pool is closed"));
   }
   return Status::Ok();
 }
 
 Status GiopServer::HandleCancel(corba::ULong request_id) {
-  // Kill a queued-but-unstarted dispatch outright — shared pool first,
-  // then the private pool. CancelQueued takes the pool's own lock, so it
-  // must run outside pool_mu_ (kEngine ranks above kDispatchPool only in
-  // the Submit direction; keeping them unnested sidesteps the question).
+  // Kill a queued-but-unstarted dispatch outright. CancelQueued takes the
+  // pool's own lock, so it must run outside pool_mu_ (kEngine ranks above
+  // kDispatchPool only in the Submit direction; keeping them unnested
+  // sidesteps the question).
   if (options_->pool != nullptr &&
       options_->pool->CancelQueued(runner_id_, request_id)) {
-    requests_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  DispatchPool* private_pool = nullptr;
-  {
-    MutexLock lock(pool_mu_);
-    private_pool = private_pool_.get();
-  }
-  if (private_pool != nullptr &&
-      private_pool->CancelQueued(runner_id_, request_id)) {
     requests_cancelled_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
   }
@@ -636,8 +577,8 @@ Status GiopServer::Serve() {
     result = s;
     break;
   }
-  // Connection over: finish queued upcalls, stop the pool, drop the
-  // cancel memory (satellite: evict on connection close).
+  // Connection over: detach from the pool and drop the cancel memory
+  // (evict on connection close).
   Close();
   return result;
 }

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/thread.h"
 #include "dacapo/config_manager.h"
 #include "dacapo/resource_manager.h"
 #include "giop/dispatch_pool.h"
@@ -128,8 +127,9 @@ class ORB {
   // Currently open accepted connections, summed across the shards.
   std::size_t connections_live() const;
 
-  // The connection engine (tests/metrics).
-  transport::Reactor& reactor() noexcept { return *reactor_; }
+  // The connection engine: server accepts and reads, and the reply demux
+  // of every Stub bound through this ORB.
+  transport::Reactor& reactor() noexcept { return reactor_; }
   giop::DispatchPool* dispatch_pool() noexcept { return dispatch_pool_.get(); }
   transport::EgressScheduler* egress_scheduler() noexcept {
     return egress_.get();
@@ -151,10 +151,9 @@ class ORB {
   // only ever touched from this connection's own reactor callback, which
   // never runs concurrently with itself, so they need no lock.
   struct Connection {
-    std::uint64_t id = 0;
+    std::uint64_t id = 0;  // also the reactor registration id
     std::unique_ptr<transport::ComChannel> channel;
     std::optional<giop::GiopServer> server;
-    std::uint64_t rx_reg = 0;  // reactor registration (0 = legacy thread)
     // Idle-timeout bookkeeping (reactor callback only, see above).
     TimePoint last_activity{};
     TimePoint armed_deadline{};
@@ -183,8 +182,8 @@ class ORB {
   void DrainAccept(transport::ComManager* manager);
   // Adopts a train of accepted channels: builds the Connections, registers
   // their receive callbacks in one batch (AddBatch/Attach), publishes them
-  // into the shards, and arms idle timers. Falls back to a legacy serve
-  // thread for transports without a non-blocking receive.
+  // into the shards, and arms idle timers. A channel that cannot be
+  // watched is closed.
   void AdoptTrain(
       std::vector<std::unique_ptr<transport::ComChannel>> channels);
   // Reactor receive callback: drains frames; tears the connection down on
@@ -193,12 +192,6 @@ class ORB {
   void FinishConnection(const std::shared_ptr<Connection>& conn);
   // Embeds the GIOP server (shared ORB config) into `conn`.
   void EmplaceServer(Connection& conn);
-  // Legacy path: blocking serve loop on a dedicated thread.
-  void ServeConnection(std::uint64_t id, std::shared_ptr<Connection> conn);
-  // Joins legacy serve threads whose loops have ended. Runs on adopt and —
-  // eagerly — at the tail of every ServeConnection, so finished threads
-  // never pile up waiting for the next accept or shutdown.
-  void ReapFinishedThreads();
 
   sim::Network* net_;
   std::string host_;
@@ -219,7 +212,9 @@ class ORB {
   // outlives every channel that attached to it.
   std::unique_ptr<transport::EgressScheduler> egress_;
   std::unique_ptr<giop::DispatchPool> dispatch_pool_;
-  std::unique_ptr<transport::Reactor> reactor_;
+  // Built with the ORB, not by Start(): client-only ORBs are never started
+  // but their stubs' reply demux still runs here.
+  transport::Reactor reactor_;
   std::vector<std::uint64_t> accept_regs_;
 
   // One immutable GIOP server config shared by every accepted connection
@@ -228,15 +223,6 @@ class ORB {
 
   mutable std::array<ConnShard, kConnShards> conn_shards_;
   std::atomic<std::uint64_t> connections_accepted_{0};
-
-  // Legacy-path serve threads (transports without a non-blocking receive)
-  // and the ids of loops that have since ended, awaiting a join.
-  mutable Mutex legacy_mu_{LockRank::kOrb, "orb::ORB::legacy_mu_"};
-  // PER_CONN_WAIVER: legacy-transport bookkeeping table, not a member of
-  // the per-connection struct.
-  std::unordered_map<std::uint64_t, Thread> connection_threads_
-      COOL_GUARDED_BY(legacy_mu_);
-  std::vector<std::uint64_t> finished_connections_ COOL_GUARDED_BY(legacy_mu_);
 };
 
 }  // namespace cool::orb

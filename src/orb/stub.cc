@@ -38,6 +38,9 @@ Status Stub::EnsureBoundLocked() {
   opts.use_qos_extension = orb_->options().enable_qos_extension;
   opts.order = order_;
   opts.principal = orb_->options().principal;
+  // Replies demux on the ORB's reactor: a binding costs a registration,
+  // not a thread.
+  opts.reactor = &orb_->reactor();
   binding->client = std::make_unique<giop::GiopClient>(
       binding->channel.get(), opts);
   binding_ = std::move(binding);
@@ -112,8 +115,8 @@ Status Stub::Unbind() {
   }
   if (binding != nullptr) {
     // Invocations still holding the snapshot keep the Binding alive; the
-    // channel close fails them with kUnavailable. The demux reader is
-    // joined when the last snapshot releases the Binding.
+    // channel close fails them with kUnavailable. The demux registration
+    // leaves the reactor when the last snapshot releases the Binding.
     (void)binding->client->SendClose();
     binding->channel->Close();
   }
@@ -243,11 +246,11 @@ Status Stub::InvokeAsync(const std::string& operation,
   // when this call returns, but the worker thread outlives it.
   std::vector<corba::Octet> args_copy(args.begin(), args.end());
   MutexLock lock(async_mu_);
-  async_threads_.emplace_back(
-      [this, operation, args_copy = std::move(args_copy),
-       cb = std::move(callback)](std::stop_token) {
-        cb(Invoke(operation, args_copy));
-      });
+  async_threads_.emplace_back([this, operation,
+                               args_copy = std::move(args_copy),
+                               cb = std::move(callback)](std::stop_token) {
+    cb(Invoke(operation, args_copy));
+  });
   return Status::Ok();
 }
 

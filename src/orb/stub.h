@@ -26,6 +26,9 @@
 
 namespace cool::orb {
 
+// A Stub must not outlive its ORB: the binding's reply demux is registered
+// on the ORB's reactor (and a Da CaPo binding's sends may ride the ORB's
+// egress scheduler).
 class Stub {
  public:
   Stub(ORB* orb, ObjectRef ref);
@@ -109,7 +112,8 @@ class Stub {
   // it alive across an Unbind: the stub lock only covers the snapshot, the
   // actual exchange runs lock-free and pipelines through the GiopClient
   // demultiplexer. Member order matters: the client is destroyed first
-  // (joining its demux reader) while the channel is still alive.
+  // (removing its demux registration from the ORB's reactor) while the
+  // channel is still alive.
   struct Binding {
     std::unique_ptr<transport::ComChannel> channel;
     std::unique_ptr<giop::GiopClient> client;

@@ -65,9 +65,9 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  // Process-wide instance shared by ORBs/clients that do not bring their
-  // own (intentionally leaked: channels may still signal it during static
-  // destruction).
+  // Process-wide instance for GIOP clients built without an ORB or a
+  // reactor of their own (intentionally leaked: channels may still signal
+  // it during static destruction).
   static Reactor& Default();
 
   // Registers a source + callback. The callback starts firing as soon as
@@ -86,7 +86,7 @@ class Reactor {
 
   // Batched registration, phase two: binds the readiness source and posts
   // the immediate probe, like Add(). On failure the registration is
-  // dropped and the caller falls back to its legacy path.
+  // dropped and the caller refuses the source.
   bool Attach(std::uint64_t id, const AttachFn& attach);
 
   // Registers a kernel fd (edge-triggered epoll). The fd stays owned by

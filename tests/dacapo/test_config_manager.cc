@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace cool::dacapo {
 namespace {
 
@@ -207,6 +209,28 @@ TEST(CostModelTest, LatencyIncludesPropagationAndSerialization) {
   const double us = mgr.EstimateLatencyMicros(ModuleGraphSpec{}, net);
   EXPECT_GT(us, net.rtt_us / 2.0);             // at least propagation
   EXPECT_GT(us, 8.0 * 8192 / 100.0 - 1);       // plus ~655us serialization
+}
+
+// bandwidth_bps = 0 is an unpaced link, as sim::LinkProperties reads it:
+// no serialization term and no wire-goodput cap, so a latency-bounded
+// request is admitted with a finite prediction.
+TEST(CostModelTest, ZeroBandwidthMeansUnpacedLink) {
+  ConfigurationManager mgr;
+  NetworkEstimate net = Lan();
+  net.bandwidth_bps = 0;
+  net.rtt_us = 10;
+  auto spec = qos::QoSSpec::FromParameters(
+      {qos::RequireLatencyMicros(1000, 2000)});
+  ASSERT_TRUE(spec.ok());
+  const qos::ProtocolRequirements req = qos::MapToProtocolRequirements(*spec);
+  ASSERT_EQ(req.max_latency_us, 2000u);
+  auto graph = mgr.Configure(req, net);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  EXPECT_TRUE(std::isfinite(graph->predicted_latency_us));
+  EXPECT_GE(graph->predicted_latency_us, net.rtt_us / 2.0);
+  EXPECT_LE(graph->predicted_latency_us, 2000.0);
+  EXPECT_TRUE(std::isfinite(graph->predicted_throughput_kbps));
+  EXPECT_GT(graph->predicted_throughput_kbps, 0.0);
 }
 
 TEST(CostModelTest, MoreModulesMoreLatency) {

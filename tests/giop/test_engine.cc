@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <thread>
 
 #include "common/clock.h"
 #include "common/thread.h"
@@ -188,8 +187,7 @@ TEST(GiopEngineTest, OnewayDoesNotWaitForReply) {
       GiopServer::Options{});
   auto server_thread = rig.Serve(server, 1);
   ASSERT_TRUE(client.InvokeOneway(Key("obj"), "notify", {}, {}).ok());
-  server_thread.join();
-  server.Close();  // drain the worker pool before asserting the upcall ran
+  server_thread.join();  // inline dispatch: the upcall ran on that thread
   EXPECT_EQ(served.load(), 1);
 }
 
@@ -315,34 +313,8 @@ TEST(GiopEngineTest, RequestIdsIncrease) {
   EXPECT_EQ(client.last_request_id(), 3u);
 }
 
-// Regression: the demux reader used to sit out a full poll quantum in
-// ReceiveMessage after the channel was closed, so client destruction
-// stalled for up to reader_poll. A close must interrupt the wait and the
-// destructor must join the reader promptly.
-TEST(GiopEngineTest, CloseInterruptsIdleReaderImmediately) {
-  Rig rig;
-  GiopClient::Options copts;
-  copts.reader_poll = seconds(30);  // a leaked quantum would hang the test
-  std::optional<GiopClient> client(std::in_place, rig.client_channel.get(),
-                                   copts);
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
-                    GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 1);
-
-  // One round trip spins up the reader thread, which then goes idle.
-  cdr::Encoder args = client->MakeArgsEncoder();
-  args.PutLong(1);
-  ASSERT_TRUE(client->Invoke(Key("obj"), "op", args.buffer().view(), {}).ok());
-  server_thread.join();
-
-  Stopwatch timer;
-  rig.client_channel->Close();
-  client.reset();  // joins the reader
-  EXPECT_LT(timer.Elapsed(), seconds(5));
-}
-
-// The reactor-demux client: replies arrive via a reactor callback instead
-// of a dedicated reader thread, and teardown barriers the registration out.
+// The reactor-demux client on a caller-supplied reactor: replies arrive via
+// a reactor callback, and teardown barriers the registration out.
 TEST(GiopEngineTest, ReactorDemuxInvokeAndTeardown) {
   Rig rig;
   transport::Reactor reactor(2);
@@ -371,6 +343,34 @@ TEST(GiopEngineTest, ReactorDemuxInvokeAndTeardown) {
   rig.client_channel->Close();
   client.reset();  // Remove() barrier, no thread to join
   EXPECT_LT(timer.Elapsed(), seconds(5));
+}
+
+// A channel with no non-blocking receive path (the ComChannel defaults for
+// TryReceiveMessage/RegisterRx): nothing could ever deliver a reply, so the
+// first call fails at once instead of timing out, and the engine stays
+// broken.
+class BlockingOnlyChannel : public transport::ComChannel {
+ public:
+  std::string_view protocol() const override { return "blocking-only"; }
+  Status SendMessage(std::span<const std::uint8_t>) override {
+    return Status::Ok();
+  }
+  Result<ByteBuffer> ReceiveMessage(Duration) override {
+    return Status(DeadlineExceededError("never"));
+  }
+  void Close() override {}
+};
+
+TEST(GiopEngineTest, UnwatchableChannelFailsFastWithUnsupported) {
+  BlockingOnlyChannel channel;
+  GiopClient client(&channel, {});
+  Stopwatch timer;
+  auto reply = client.Invoke(Key("obj"), "op", {}, {}, seconds(10));
+  EXPECT_LT(timer.Elapsed(), seconds(1));
+  EXPECT_EQ(reply.status().code(), ErrorCode::kUnsupported);
+  EXPECT_EQ(client.in_flight(), 0u);
+  EXPECT_EQ(client.Locate(Key("obj")).status().code(),
+            ErrorCode::kUnsupported);
 }
 
 }  // namespace

@@ -66,8 +66,10 @@ GiopServer::DispatchResult SlowEcho(const RequestHeader& header,
 TEST(GiopConcurrentTest, ThreadsTimesPipelineDepthOverOneChannel) {
   Rig rig;
   GiopClient client(rig.client_channel.get(), {});
+  // Declared before the server: the pool must outlive it.
+  DispatchPool pool(4);
   GiopServer::Options opts;
-  opts.worker_threads = 4;
+  opts.pool = &pool;
   GiopServer server(rig.server_channel.get(), SlowEcho, opts);
   cool::Thread server_thread([&] { (void)server.Serve(); });
 
@@ -125,8 +127,9 @@ TEST(GiopConcurrentTest, SynchronousInvokesPipelineToo) {
   // the demux must still interleave them over the one channel.
   Rig rig;
   GiopClient client(rig.client_channel.get(), {});
+  DispatchPool pool(4);
   GiopServer::Options opts;
-  opts.worker_threads = 4;
+  opts.pool = &pool;
   GiopServer server(rig.server_channel.get(), SlowEcho, opts);
   cool::Thread server_thread([&] { (void)server.Serve(); });
 
@@ -162,8 +165,9 @@ TEST(GiopConcurrentTest, SynchronousInvokesPipelineToo) {
 TEST(GiopConcurrentTest, CancelUnderLoad) {
   Rig rig;
   GiopClient client(rig.client_channel.get(), {});
+  DispatchPool pool(2);
   GiopServer::Options opts;
-  opts.worker_threads = 2;
+  opts.pool = &pool;
   GiopServer server(rig.server_channel.get(), SlowEcho, opts);
   cool::Thread server_thread([&] { (void)server.Serve(); });
 
@@ -215,8 +219,9 @@ TEST(GiopConcurrentTest, CancelUnderLoad) {
 TEST(GiopConcurrentTest, CloseConnectionWithRequestsInFlight) {
   Rig rig;
   GiopClient client(rig.client_channel.get(), {});
+  DispatchPool pool(2);
   GiopServer::Options opts;
-  opts.worker_threads = 2;
+  opts.pool = &pool;
   GiopServer server(rig.server_channel.get(), SlowEcho, opts);
   cool::Thread server_thread([&] { (void)server.Serve(); });
 
@@ -280,8 +285,9 @@ TEST(GiopConcurrentTest, HighPriorityOvertakesQueuedLowPriority) {
   GiopClient client(rig.client_channel.get(), {});
   std::vector<std::string> order;
   Mutex order_mu;
+  DispatchPool pool(1);
   GiopServer::Options opts;
-  opts.worker_threads = 1;
+  opts.pool = &pool;
   GiopServer server(
       rig.server_channel.get(),
       [&](const RequestHeader& header, cdr::Decoder&) {
@@ -334,8 +340,9 @@ TEST(GiopConcurrentTest, CancelKillsQueuedButUnstartedDispatch) {
   Rig rig;
   GiopClient client(rig.client_channel.get(), {});
   std::atomic<bool> doomed_ran{false};
+  DispatchPool pool(1);
   GiopServer::Options opts;
-  opts.worker_threads = 1;
+  opts.pool = &pool;
   GiopServer server(
       rig.server_channel.get(),
       [&](const RequestHeader& header, cdr::Decoder&) {
@@ -365,13 +372,12 @@ TEST(GiopConcurrentTest, CancelKillsQueuedButUnstartedDispatch) {
 }
 
 TEST(GiopConcurrentTest, InlineModeStillServesSerially) {
-  // worker_threads = 0 is the historical inline mode: dispatch runs on the
-  // receive loop, no pool threads are ever started.
+  // No pool is the inline mode: dispatch runs on the receive loop, no pool
+  // threads are ever started.
   Rig rig;
   GiopClient client(rig.client_channel.get(), {});
-  GiopServer::Options opts;
-  opts.worker_threads = 0;
-  GiopServer server(rig.server_channel.get(), SlowEcho, opts);
+  GiopServer server(rig.server_channel.get(), SlowEcho,
+                    GiopServer::Options{});
   cool::Thread server_thread([&] {
     for (int i = 0; i < 5; ++i) {
       ASSERT_TRUE(server.ServeOne(seconds(5)).ok());

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,16 @@ bool WaitUntil(const std::function<bool()>& pred,
     std::this_thread::sleep_for(milliseconds(1));
   }
   return pred();
+}
+
+// The "Threads:" line of /proc/self/status, or -1 when unreadable.
+int ProcessThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 sim::LinkProperties QuickLink() {
@@ -298,6 +310,42 @@ TEST(IdleTimeoutTest, IdleConnectionsReapedWhileActiveOnesSurvive) {
   ASSERT_TRUE(reply.ok()) << reply.status();
   cdr::Decoder dec = reply->MakeDecoder();
   EXPECT_EQ(*dec.GetLong(), 3);
+  server.Shutdown();
+}
+
+// A client binding costs a registration on its ORB's reactor, not a
+// thread: binding 32 TCP stubs from one client ORB leaves the process
+// thread count where the first binding put it.
+TEST(ClientBindingThreadsTest, TcpBindingsSpawnNoThreads) {
+  sim::Network net(QuickLink());
+  ORB server(&net, "server");
+  auto ref = server.RegisterServant("calc", std::make_shared<CalcServant>(),
+                                    Protocol::kTcp);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  ORB::Options options;
+  options.reactor_threads = 1;
+  ORB client(&net, "client", options);
+  constexpr int kStubs = 32;
+  // Declared after the client ORB: every Stub dies before it.
+  std::vector<std::unique_ptr<Stub>> stubs;
+  int threads_after_one = -1;
+  for (int i = 0; i < kStubs; ++i) {
+    stubs.push_back(std::make_unique<Stub>(&client, *ref));
+    cdr::Encoder args = stubs.back()->MakeArgsEncoder();
+    args.PutLong(i);
+    args.PutLong(1);
+    auto reply = stubs.back()->Invoke("add", args.buffer().view());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    cdr::Decoder dec = reply->MakeDecoder();
+    EXPECT_EQ(*dec.GetLong(), i + 1);
+    if (i == 0) threads_after_one = ProcessThreads();
+  }
+  ASSERT_GT(threads_after_one, 0);
+  EXPECT_EQ(ProcessThreads(), threads_after_one);
+  EXPECT_EQ(server.connections_accepted(), static_cast<std::uint64_t>(kStubs));
+  stubs.clear();
   server.Shutdown();
 }
 
