@@ -20,7 +20,7 @@
 #include "common/thread.h"
 #include "giop/engine.h"
 #include "orb/orb.h"
-#include "transport/reactor.h"
+#include "sim/reactor.h"
 #include "transport/tcp_channel.h"
 
 namespace {
@@ -143,7 +143,7 @@ bool MeasureConns(std::size_t conns, Duration duration, Sample& out) {
   // throughput droop at high connection counts is engine overhead, not a
   // heavier offered load. Reply demux rides a shared two-worker reactor —
   // client-side threads stay flat too.
-  transport::Reactor client_reactor(2);
+  sim::Reactor client_reactor(2);
   const std::size_t active = conns < 8 ? conns : 8;
   std::vector<std::unique_ptr<giop::GiopClient>> clients;
   clients.reserve(active);

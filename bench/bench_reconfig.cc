@@ -143,7 +143,7 @@ int main() {
 
   std::printf(
       "\nshape check: selection is microseconds; setup/reconfig are\n"
-      "dominated by the signalling round-trip plus the chain engine-thread\n"
-      "spawn (grows mildly with depth).\n");
+      "dominated by the signalling round-trip plus building the plane\n"
+      "(arena, modules, one reactor registration; grows mildly with depth).\n");
   return 0;
 }

@@ -34,15 +34,17 @@ DESIGN.md ("Concurrency model") over src/, tests/, bench/ and examples/:
      zero-copy path already owns. Encode into a BufferPool lease, pass
      spans, or move the ByteBuffer instead. Cold-path exceptions live in
      BUFFER_COPY_ALLOWLIST.
-  10. The reactor owns event-driven I/O in src/transport and src/giop: no
-     new thread spawns and no blocking ReceiveMessage call sites outside
-     the allowlisted machinery (reactor/epoll workers, the shared dispatch
-     pool, and the documented blocking fallbacks). A connection must cost
-     a reactor registration, not a thread — additions go through
-     Reactor::Add or get an allowlist entry with a justification.
+  10. The reactor owns event-driven I/O in src/transport, src/giop,
+     src/orb and src/dacapo: no new thread spawns and no blocking
+     ReceiveMessage call sites outside the allowlisted machinery (the
+     shared dispatch pool, and the documented blocking fallbacks). A
+     connection — Da CaPo chains and signalling planes included — must
+     cost a reactor registration, not a thread; additions go through
+     Reactor::Add or get an allowlist entry with a justification
+     (src/dacapo has none).
   11. No raw std::condition_variable and no this_thread::sleep_for /
-     sleep_until in reactor- or dispatch-callback territory (src/transport,
-     src/giop): reactor callbacks and pool upcalls run to completion on
+     sleep_until in reactor- or dispatch-callback territory (the rule-10
+     directories): reactor callbacks and pool upcalls run to completion on
      shared workers, so a sleep or an unannotated wait there stalls every
      connection pinned to that worker. Timed waits go through
      cool::CondVar::WaitUntil; deliberate blocking sites are marked with
@@ -109,7 +111,7 @@ NEW_ALLOWLIST = {
     "src/dacapo/session.cc": ["new Session("],  # private ctor, factory-wrapped
     "src/stream/stream_adapter.cc": ["new FlowConnection("],  # same pattern
     "src/common/buffer_pool.cc": ["new BufferPool()"],  # leaky singleton
-    "src/transport/reactor.cc": ["new Reactor()"],  # leaky singleton
+    "src/sim/reactor.cc": ["new Reactor()"],  # leaky singleton
     "src/common/deadlock.cc": ["new State()"],  # leaky singleton (detector)
 }
 
@@ -527,13 +529,14 @@ def check_no_buffer_copies(path: Path, clean: str,
         )
 
 
-# --- rule 10: reactor-owned I/O in src/transport, src/giop and src/orb --------
-# The event-driven connection engine exists so that connections and client
-# bindings cost reactor registrations, not threads. New thread spawns and
-# new blocking-receive call sites in these directories bypass it; each
-# allowed site is the machinery itself or a documented exception.
+# --- rule 10: reactor-owned I/O in src/transport, src/giop, src/orb and
+# src/dacapo ------------------------------------------------------------------
+# The event engine (src/sim/reactor.*) exists so that connections, client
+# bindings and Da CaPo chains cost reactor registrations, not threads. New
+# thread spawns and new blocking-receive call sites in these directories
+# bypass it; each allowed site is a documented exception.
 
-REACTOR_DIRS = ("src/transport/", "src/giop/", "src/orb/")
+REACTOR_DIRS = ("src/transport/", "src/giop/", "src/orb/", "src/dacapo/")
 
 # Thread construction from a lambda: the cool::Thread wrapper as a
 # temporary/member init (`Thread([`), a named local (`Thread t([`), or an
@@ -542,17 +545,11 @@ THREAD_SPAWN_RE = re.compile(
     r"\bThread\s*\(\s*\[|\bThread\s+\w+\s*\(\s*\[|\bemplace_back\s*\(\s*\[")
 
 THREAD_SPAWN_ALLOWLIST = {
-    "src/transport/reactor.cc": ["WorkerLoop"],  # the reactor's own workers
-    "src/transport/epoll_poller.cc": ["Loop(stop)"],  # kernel-fd poll loop
     "src/giop/dispatch_pool.cc": ["WorkerLoop()"],  # the shared pool itself
     # Asynchronous-reply invocation (paper Fig. 8 "notify"): one short-lived
     # thread per call runs the blocking Invoke and the user callback, which
     # may block too — neither may run on a reactor worker.
     "src/orb/stub.cc": ["async_threads_.emplace_back(["],
-    # Fig. 7 alternative (ii) server: the Da CaPo acceptor has no
-    # readiness seam, so one accept thread per Alt2Server (not per
-    # connection) blocks in Accept.
-    "src/orb/giop_module.cc": ["AcceptLoop(st)"],
 }
 
 # Blocking receive call sites (TryReceiveMessage is the non-blocking

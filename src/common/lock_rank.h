@@ -39,7 +39,9 @@ enum class LockRank : int {
   // everything else posts into.
   kWaitSet = 10,
 
-  // Simulated network internals (pipes, accept queues, datagram ports).
+  // Simulated network internals (pipes, accept queues, datagram ports)
+  // and the reactor's registration maps, which nest no other lock — so a
+  // Da CaPo chain can be unregistered from under a session lock.
   kSimNetwork = 20,
 
   // Da CaPo mailboxes between protocol modules.
@@ -48,8 +50,7 @@ enum class LockRank : int {
   // Da CaPo session state (plane pointer, error slot, resource manager).
   kSession = 40,
 
-  // Transport ComChannel locks (tcp/ipc/dacapo tx/rx/qos serialization)
-  // and the reactor/epoll bookkeeping locks.
+  // Transport ComChannel locks (tcp/ipc/dacapo tx/rx/qos serialization).
   kChannel = 50,
 
   // giop::DispatchPool queues and GiopServer's pool attachment state.

@@ -10,9 +10,13 @@
 // chain-upward to the sending application. Up and control are unbounded
 // (their volume is bounded by the receive window of the transport).
 //
-// The mailbox is single-consumer (exactly one engine thread pops it) and
-// multi-producer. Producers therefore wake the consumer with NotifyOne;
-// only Close broadcasts. The batch operations (PushDownBatch, PushUpBatch,
+// The mailbox is single-consumer and multi-producer. The consumer is a
+// reactor registration, not a thread: it never waits on the mailbox, it
+// pops non-blockingly whenever the mailbox wakes it. A push into an idle
+// mailbox calls the wake hook once (further pushes skip it until the
+// consumer pops again); down-data pushed while the consumer declined it
+// (its chain is stalled) wakes nobody — the consumer returns for it once
+// the stall clears. The batch operations (PushDownBatch, PushUpBatch,
 // PopBatch) move whole trains of packets under a single lock acquisition,
 // so the per-packet mutex + wakeup cost of the Fig. 6 pointer-passing
 // design is amortized across the batch.
@@ -24,6 +28,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -66,7 +71,7 @@ struct DataItem {
 class Mailbox {
  public:
   struct PopResult {
-    enum class Kind { kControl, kData, kTimeout, kClosed } kind;
+    enum class Kind { kControl, kData } kind;
     // Valid for the corresponding Kind only.
     ControlMsg control;
     Direction control_dir = Direction::kDown;
@@ -77,14 +82,19 @@ class Mailbox {
   explicit Mailbox(std::size_t down_capacity = 64)
       : down_capacity_(down_capacity) {}
 
-  // Control: never blocks, never dropped. (All notifications below happen
-  // under the mutex so a consumer may destroy the mailbox right after
-  // observing the item — see BlockingQueue for the rationale.)
+  // Installs the consumer wakeup (e.g. a reactor Schedule). Called under
+  // the mailbox lock, so it must not block or re-enter the mailbox; set it
+  // before any producer runs.
+  void SetWake(std::function<void()> wake) { wake_ = std::move(wake); }
+
+  // Control: never blocks, never dropped. (All wakeups below happen under
+  // the mutex so a consumer may destroy the mailbox right after observing
+  // the item — see BlockingQueue for the rationale.)
   void PushControl(Direction dir, ControlMsg msg, std::size_t origin = 0) {
     MutexLock lock(mu_);
     if (closed_) return;
     control_.push_back({dir, std::move(msg), origin});
-    cv_.NotifyOne();
+    WakeLocked();
   }
 
   // Up data: never blocks (see file comment).
@@ -92,7 +102,7 @@ class Mailbox {
     MutexLock lock(mu_);
     if (closed_) return;
     up_.push_back({std::move(pkt), origin});
-    cv_.NotifyOne();
+    WakeLocked();
   }
 
   // Batched up push: the whole train enters under one lock acquisition and
@@ -102,19 +112,20 @@ class Mailbox {
     MutexLock lock(mu_);
     if (!closed_) {
       for (auto& p : pkts) up_.push_back({std::move(p), origin});
-      cv_.NotifyOne();
+      WakeLocked();
     }
     pkts.clear();  // closed: packets return to the arena here
   }
 
-  // Down data: blocks while the down queue is full. Returns false when the
-  // mailbox closed while waiting (packet is dropped).
+  // Down data: blocks while the down queue is full — the backpressure an
+  // application sender feels. Returns false when the mailbox closed while
+  // waiting (packet is dropped).
   bool PushDown(PacketPtr pkt, std::size_t origin = 0) {
     MutexLock lock(mu_);
     while (!closed_ && down_.size() >= down_capacity_) space_.Wait(mu_);
     if (closed_) return false;
     down_.push_back({std::move(pkt), origin});
-    cv_.NotifyOne();
+    if (!down_gated_) WakeLocked();
     return true;
   }
 
@@ -126,9 +137,9 @@ class Mailbox {
     bool pushed_any = false;
     for (auto& p : pkts) {
       while (!closed_ && down_.size() >= down_capacity_) {
-        // The consumer may be asleep with the items we already queued; it
+        // The consumer may be idle with the items we already queued; it
         // must run for space to ever appear, so wake it before waiting.
-        if (pushed_any) cv_.NotifyOne();
+        if (pushed_any && !down_gated_) WakeLocked();
         space_.Wait(mu_);
       }
       if (closed_) {
@@ -138,105 +149,63 @@ class Mailbox {
       down_.push_back({std::move(p), origin});
       pushed_any = true;
     }
-    if (pushed_any) cv_.NotifyOne();
+    if (pushed_any && !down_gated_) WakeLocked();
     pkts.clear();
     return true;
   }
 
-  // Pops the highest-priority item. Down-data is only eligible when
-  // `accept_down` is true. Returns kTimeout if nothing eligible arrived
-  // within `timeout`, kClosed once closed and fully drained.
-  PopResult PopNext(bool accept_down, Duration timeout) {
-    const TimePoint deadline = DeadlineFor(timeout);
+  enum class BatchStatus { kItems, kEmpty, kClosed };
+
+  // Non-blocking: drains every eligible item — all control, then all
+  // up-data, then (when `accept_down`) all down-data, FIFO within each
+  // class — under a single lock acquisition, up to `max_n` items appended
+  // to `out` (which is cleared first; pass the same vector each call to
+  // reuse its capacity). kEmpty when nothing is eligible, kClosed once
+  // closed. Re-arms the wake hook for the next push. One space_ wakeup is
+  // issued per drained down-item so every blocked producer resumes.
+  BatchStatus PopBatch(bool accept_down, std::size_t max_n,
+                       std::vector<PopResult>& out) {
+    out.clear();
     MutexLock lock(mu_);
-    for (;;) {
-      if (!control_.empty()) {
-        PopResult r;
-        r.kind = PopResult::Kind::kControl;
-        r.control_dir = control_.front().dir;
-        r.control = std::move(control_.front().msg);
-        r.control_origin = control_.front().origin;
-        control_.pop_front();
-        return r;
-      }
-      if (!up_.empty()) {
-        PopResult r;
-        r.kind = PopResult::Kind::kData;
-        r.data = DataItem{Direction::kUp, std::move(up_.front().pkt),
-                          up_.front().origin};
-        up_.pop_front();
-        return r;
-      }
-      if (accept_down && !down_.empty()) {
+    if (closed_) return BatchStatus::kClosed;
+    wake_pending_ = false;
+    down_gated_ = !accept_down;
+    while (out.size() < max_n && !control_.empty()) {
+      PopResult r;
+      r.kind = PopResult::Kind::kControl;
+      r.control_dir = control_.front().dir;
+      r.control = std::move(control_.front().msg);
+      r.control_origin = control_.front().origin;
+      control_.pop_front();
+      out.push_back(std::move(r));
+    }
+    while (out.size() < max_n && !up_.empty()) {
+      PopResult r;
+      r.kind = PopResult::Kind::kData;
+      r.data = DataItem{Direction::kUp, std::move(up_.front().pkt),
+                        up_.front().origin};
+      up_.pop_front();
+      out.push_back(std::move(r));
+    }
+    if (accept_down) {
+      while (out.size() < max_n && !down_.empty()) {
         PopResult r;
         r.kind = PopResult::Kind::kData;
         r.data = DataItem{Direction::kDown, std::move(down_.front().pkt),
                           down_.front().origin};
         down_.pop_front();
         space_.NotifyOne();
-        return r;
-      }
-      if (closed_) {
-        PopResult r;
-        r.kind = PopResult::Kind::kClosed;
-        return r;
-      }
-      if (!cv_.WaitUntil(mu_, deadline)) {
-        PopResult r;
-        r.kind = PopResult::Kind::kTimeout;
-        return r;
+        out.push_back(std::move(r));
       }
     }
+    return out.empty() ? BatchStatus::kEmpty : BatchStatus::kItems;
   }
 
-  enum class BatchStatus { kItems, kTimeout, kClosed };
-
-  // Drains every eligible item — all control, then all up-data, then (when
-  // `accept_down`) all down-data, FIFO within each class — under a single
-  // lock acquisition, up to `max_n` items appended to `out` (which is
-  // cleared first; pass the same vector each call to reuse its capacity).
-  // Blocks like PopNext when nothing is eligible: kTimeout after `timeout`,
-  // kClosed once closed and drained, kItems otherwise. One space_ wakeup is
-  // issued per drained down-item so every blocked producer resumes.
-  BatchStatus PopBatch(bool accept_down, std::size_t max_n, Duration timeout,
-                       std::vector<PopResult>& out) {
-    out.clear();
-    if (max_n == 0) return BatchStatus::kTimeout;
-    const TimePoint deadline = DeadlineFor(timeout);
+  // True while PopBatch(accept_down, ...) would return items.
+  bool HasEligible(bool accept_down) const {
     MutexLock lock(mu_);
-    for (;;) {
-      while (out.size() < max_n && !control_.empty()) {
-        PopResult r;
-        r.kind = PopResult::Kind::kControl;
-        r.control_dir = control_.front().dir;
-        r.control = std::move(control_.front().msg);
-        r.control_origin = control_.front().origin;
-        control_.pop_front();
-        out.push_back(std::move(r));
-      }
-      while (out.size() < max_n && !up_.empty()) {
-        PopResult r;
-        r.kind = PopResult::Kind::kData;
-        r.data = DataItem{Direction::kUp, std::move(up_.front().pkt),
-                          up_.front().origin};
-        up_.pop_front();
-        out.push_back(std::move(r));
-      }
-      if (accept_down) {
-        while (out.size() < max_n && !down_.empty()) {
-          PopResult r;
-          r.kind = PopResult::Kind::kData;
-          r.data = DataItem{Direction::kDown, std::move(down_.front().pkt),
-                            down_.front().origin};
-          down_.pop_front();
-          space_.NotifyOne();
-          out.push_back(std::move(r));
-        }
-      }
-      if (!out.empty()) return BatchStatus::kItems;
-      if (closed_) return BatchStatus::kClosed;
-      if (!cv_.WaitUntil(mu_, deadline)) return BatchStatus::kTimeout;
-    }
+    return !closed_ && (!control_.empty() || !up_.empty() ||
+                        (accept_down && !down_.empty()));
   }
 
   void Close() {
@@ -246,7 +215,6 @@ class Mailbox {
     control_.clear();
     up_.clear();
     down_.clear();
-    cv_.NotifyAll();
     space_.NotifyAll();
   }
 
@@ -271,13 +239,22 @@ class Mailbox {
     std::size_t origin;
   };
 
+  void WakeLocked() COOL_REQUIRES(mu_) {
+    if (wake_pending_) return;
+    wake_pending_ = true;
+    if (wake_) wake_();
+  }
+
   const std::size_t down_capacity_;
+  std::function<void()> wake_;  // set before use, then read-only
   mutable Mutex mu_{LockRank::kMailbox, "dacapo::Mailbox::mu_"};
-  CondVar cv_;
   CondVar space_;
   std::deque<ControlItem> control_ COOL_GUARDED_BY(mu_);
   std::deque<QueuedPacket> up_ COOL_GUARDED_BY(mu_);
   std::deque<QueuedPacket> down_ COOL_GUARDED_BY(mu_);
+  bool wake_pending_ COOL_GUARDED_BY(mu_) = false;
+  // The last PopBatch declined down-data (see file comment).
+  bool down_gated_ COOL_GUARDED_BY(mu_) = false;
   bool closed_ COOL_GUARDED_BY(mu_) = false;
 };
 

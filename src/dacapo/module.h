@@ -3,7 +3,7 @@
 // handling methods for data and control information." Modules talk to
 // their neighbours exclusively through their ModulePort.
 //
-// Since PR 8 the chain runs BESS-style: one engine thread per chain pops a
+// The chain runs BESS-style: one reactor registration per chain pops a
 // packet train from the chain mailbox and walks it through every module
 // run-to-completion (DESIGN.md §12). The primary data entry point is
 // ProcessBurst(PacketBatch&); HandleData remains the per-packet workhorse
@@ -22,6 +22,7 @@
 #include "common/status.h"
 #include "dacapo/mailbox.h"
 #include "dacapo/packet.h"
+#include "sim/waitset.h"
 
 namespace cool::dacapo {
 
@@ -76,8 +77,9 @@ class PacketBatch {
   std::size_t count_ = 0;
 };
 
-// The runtime-provided view a module has of its surroundings. ForwardDown
-// may block (bounded queues, backpressure); ForwardUp never blocks.
+// The runtime-provided view a module has of its surroundings. Forwarding
+// never blocks: emissions are walked synchronously through the neighbour
+// (down-data a neighbour is not ready for stalls in the runtime).
 class ModulePort {
  public:
   virtual ~ModulePort() = default;
@@ -107,10 +109,10 @@ class ModulePort {
 
   // Arena-backpressure wait point: a module that must allocate (e.g. the
   // fragmenter cutting a large message) calls this between retries instead
-  // of sleeping directly. The engine override services up-traffic and
-  // control while waiting, so the packets whose release we are waiting for
-  // (ACKs opening a window below us) can still flow; the default is a
-  // plain sleep for test doubles.
+  // of sleeping directly. The runtime override services up-traffic,
+  // control and the T socket while waiting, so the packets whose release
+  // we are waiting for (ACKs opening a window below us) can still flow;
+  // the default is a plain sleep for test doubles.
   virtual void WaitArena(Duration d) { PreciseSleep(d); }
 
   // Connection name, for logs.
@@ -123,16 +125,22 @@ class Module {
 
   virtual std::string_view name() const = 0;
 
-  // Called on the module's own thread before any packet handling. The port
-  // stays valid until after OnStop returns and may be captured (the T
-  // module keeps it for its receive path).
+  // Called before any packet handling. The port is valid for the call
+  // only; never capture it.
   virtual Status OnStart(ModulePort& port) {
     (void)port;
     return Status::Ok();
   }
 
-  // Called on the module's thread after the last packet; queues are closed.
+  // Called after the last packet; the chain mailbox is closed.
   virtual void OnStop(ModulePort& port) { (void)port; }
+
+  // Layer-T hooks (no module owns a thread): attach the socket's
+  // readiness to the chain's reactor registration, once, before the first
+  // callback; then drain it without blocking, forwarding trains up.
+  // PollReceive returns true when it stopped with input still deliverable.
+  virtual void WatchReadiness(const sim::WaitSet&, std::uint64_t) {}
+  virtual bool PollReceive(ModulePort&) { return false; }
 
   // Handle one data packet travelling in direction `dir`. A transparent
   // module forwards it onward; protocol modules transform, consume, or
@@ -178,8 +186,8 @@ class Module {
 
   // Monitoring hook (the paper's management component monitors the module
   // graph): a short human-readable counter summary, e.g. "retx=3".
-  // Called from outside the module's thread — implementations must only
-  // read atomic counters here. Default: no stats.
+  // Called concurrently with the chain's callback — implementations must
+  // only read atomic counters here. Default: no stats.
   virtual std::string DescribeStats() const { return ""; }
 };
 

@@ -26,21 +26,26 @@ class Packet {
   // Headroom for stacked module headers; 16 modules x 8 bytes fits easily.
   static constexpr std::size_t kHeadroom = 128;
 
+  // Storage is default-initialized, not zero-filled: an arena of 512
+  // 64 KiB packets would otherwise touch 32 MB per Da CaPo plane up front
+  // (every byte is written before it is read — see WritablePayload).
   explicit Packet(std::size_t payload_capacity)
-      : buf_(kHeadroom + payload_capacity),
+      : buf_(std::make_unique_for_overwrite<std::uint8_t[]>(
+            kHeadroom + payload_capacity)),
+        buf_size_(kHeadroom + payload_capacity),
         data_off_(kHeadroom),
         data_len_(0) {}
 
   // --- payload ------------------------------------------------------------
   // Replaces the packet content (resets any pushed headers).
   Status SetPayload(std::span<const std::uint8_t> payload) {
-    if (payload.size() > buf_.size() - kHeadroom) {
+    if (payload.size() > buf_size_ - kHeadroom) {
       return InvalidArgumentError("payload exceeds packet capacity");
     }
     data_off_ = kHeadroom;
     data_len_ = payload.size();
     std::copy(payload.begin(), payload.end(),
-              buf_.begin() + static_cast<std::ptrdiff_t>(data_off_));
+              buf_.get() + static_cast<std::ptrdiff_t>(data_off_));
     return Status::Ok();
   }
 
@@ -49,19 +54,19 @@ class Packet {
   // transports can receive and encoders can marshal directly into arena
   // packet memory instead of staging through an intermediate buffer.
   Result<std::span<std::uint8_t>> WritablePayload(std::size_t n) {
-    if (n > buf_.size() - kHeadroom) {
+    if (n > buf_size_ - kHeadroom) {
       return Status(InvalidArgumentError("payload exceeds packet capacity"));
     }
     data_off_ = kHeadroom;
     data_len_ = n;
-    return std::span<std::uint8_t>{buf_.data() + data_off_, data_len_};
+    return std::span<std::uint8_t>{buf_.get() + data_off_, data_len_};
   }
 
   std::span<std::uint8_t> Data() noexcept {
-    return {buf_.data() + data_off_, data_len_};
+    return {buf_.get() + data_off_, data_len_};
   }
   std::span<const std::uint8_t> Data() const noexcept {
-    return {buf_.data() + data_off_, data_len_};
+    return {buf_.get() + data_off_, data_len_};
   }
   std::size_t size() const noexcept { return data_len_; }
 
@@ -73,14 +78,14 @@ class Packet {
     data_off_ -= header.size();
     data_len_ += header.size();
     std::copy(header.begin(), header.end(),
-              buf_.begin() + static_cast<std::ptrdiff_t>(data_off_));
+              buf_.get() + static_cast<std::ptrdiff_t>(data_off_));
     return Status::Ok();
   }
 
   // Exposes the first n octets and removes them from the packet view.
   Result<std::span<const std::uint8_t>> PopHeader(std::size_t n) {
     if (n > data_len_) return Status(ProtocolError("header pop underrun"));
-    std::span<const std::uint8_t> header{buf_.data() + data_off_, n};
+    std::span<const std::uint8_t> header{buf_.get() + data_off_, n};
     data_off_ += n;
     data_len_ -= n;
     return header;
@@ -88,14 +93,14 @@ class Packet {
 
   // Extends the packet at the tail (trailers, e.g. checksums; also the
   // in-place assembly seam: append message pieces one after another).
-  // Subtraction form: data_off_ + data_len_ <= buf_.size() by invariant,
+  // Subtraction form: data_off_ + data_len_ <= buf_size_ by invariant,
   // but a huge trailer must not wrap the sum past the bounds test.
   Status PushTrailer(std::span<const std::uint8_t> trailer) {
-    if (trailer.size() > buf_.size() - data_off_ - data_len_) {
+    if (trailer.size() > buf_size_ - data_off_ - data_len_) {
       return ResourceExhaustedError("packet tailroom exhausted");
     }
     std::copy(trailer.begin(), trailer.end(),
-              buf_.begin() +
+              buf_.get() +
                   static_cast<std::ptrdiff_t>(data_off_ + data_len_));
     data_len_ += trailer.size();
     return Status::Ok();
@@ -105,14 +110,14 @@ class Packet {
     if (n > data_len_) return Status(ProtocolError("trailer pop underrun"));
     data_len_ -= n;
     return std::span<const std::uint8_t>{
-        buf_.data() + data_off_ + data_len_, n};
+        buf_.get() + data_off_ + data_len_, n};
   }
 
   // --- metadata --------------------------------------------------------------
   TimePoint created_at() const noexcept { return created_at_; }
   void set_created_at(TimePoint t) noexcept { created_at_ = t; }
 
-  std::size_t capacity() const noexcept { return buf_.size() - kHeadroom; }
+  std::size_t capacity() const noexcept { return buf_size_ - kHeadroom; }
 
  private:
   friend class PacketArena;
@@ -124,7 +129,8 @@ class Packet {
     created_at_ = TimePoint{};
   }
 
-  std::vector<std::uint8_t> buf_;
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t buf_size_;
   std::size_t data_off_;
   std::size_t data_len_;
   TimePoint created_at_{};

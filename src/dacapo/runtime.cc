@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "sim/reactor.h"
 
 namespace cool::dacapo {
 
@@ -15,34 +16,67 @@ ModuleChain::ModuleChain(std::string name,
       modules_(std::move(modules)),
       burst_size_(std::clamp<std::size_t>(burst_size, 1,
                                           PacketBatch::kCapacity)) {
-  ports_.reserve(modules_.size());
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    ports_.push_back(std::make_unique<Port>(this, i));
-  }
   stall_.resize(modules_.size());
   last_tick_.resize(modules_.size());
   walking_.assign(modules_.size(), 0);
   popped_.reserve(burst_size_);
+  mailbox_.SetWake([this] {
+    sim::Reactor::Default().Schedule(reg_id_.load(std::memory_order_acquire));
+  });
 }
 
 ModuleChain::~ModuleChain() { Stop(); }
 
-Status ModuleChain::Start() {
+Status ModuleChain::Start(std::uint64_t colocate_with) {
   if (modules_.empty()) {
     return FailedPreconditionError("empty module chain");
   }
   if (started_.exchange(true)) {
     return FailedPreconditionError("chain already started");
   }
-  engine_ = Thread([this](std::stop_token st) { RunEngine(st); });
+  // Nothing fires before the registration exists, so the modules start
+  // on the caller's thread with the same port the callback will use.
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    BurstPort port(this, i);
+    if (Status s = modules_[i]->OnStart(port); !s.ok()) {
+      COOL_LOG(kError, "dacapo")
+          << name_ << "/" << modules_[i]->name() << " failed to start: " << s;
+      // A chain with a hole in it cannot carry traffic: wind down what
+      // already started and refuse service (injection fails from here on).
+      mailbox_.Close();
+      stopped_.store(true);
+      for (std::size_t j = 0; j < i; ++j) {
+        BurstPort stop_port(this, j);
+        modules_[j]->OnStop(stop_port);
+      }
+      return s;
+    }
+    last_tick_[i] = Now();
+  }
+  // Two steps so the id is published before the first callback reads it:
+  // a manual registration fires only when posted. Then the modules'
+  // readiness sources attach, and a first pass picks up anything injected
+  // before Start (its wakeup found no registration).
+  sim::Reactor& reactor = sim::Reactor::Default();
+  const std::uint64_t id =
+      reactor.AddManual([this] { RunOnce(); }, colocate_with);
+  reg_id_.store(id, std::memory_order_release);
+  reactor.Attach(id, [this](const sim::WaitSet& set, std::uint64_t token) {
+    for (auto& m : modules_) m->WatchReadiness(set, token);
+    return true;
+  });
+  reactor.Schedule(id);
   return Status::Ok();
 }
 
 void ModuleChain::Stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
   mailbox_.Close();
-  engine_.request_stop();
-  if (engine_.joinable()) engine_.join();
+  sim::Reactor::Default().Remove(reg_id_.load(std::memory_order_acquire));
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    BurstPort port(this, i);
+    modules_[i]->OnStop(port);
+  }
 }
 
 bool ModuleChain::InjectDown(PacketPtr pkt) {
@@ -96,63 +130,7 @@ void ModuleChain::DeliverUpSink(PacketPtr pkt) {
       << name_ << ": packet forwarded past top module dropped";
 }
 
-// --- thread-safe Port (OnStart/OnStop captures, T receive thread) ----------
-
-void ModuleChain::Port::ForwardUp(PacketPtr pkt) {
-  if (index_ == 0) {
-    chain_->DeliverUpSink(std::move(pkt));
-    return;
-  }
-  chain_->mailbox_.PushUp(std::move(pkt), index_ - 1);
-}
-
-void ModuleChain::Port::ForwardDown(PacketPtr pkt) {
-  if (index_ + 1 >= chain_->modules_.size()) {
-    COOL_LOG(kWarn, "dacapo")
-        << chain_->name_ << ": packet forwarded past bottom module dropped";
-    return;
-  }
-  chain_->mailbox_.PushDown(std::move(pkt), index_ + 1);
-}
-
-void ModuleChain::Port::ForwardUpBatch(std::vector<PacketPtr>& pkts) {
-  if (pkts.empty()) return;
-  if (index_ == 0) {
-    // The up-sink is per-packet by contract; the batch saving was already
-    // realized on the mailbox hop below this point.
-    for (auto& p : pkts) chain_->DeliverUpSink(std::move(p));
-    pkts.clear();
-    return;
-  }
-  chain_->mailbox_.PushUpBatch(pkts, index_ - 1);
-}
-
-void ModuleChain::Port::ForwardDownBatch(std::vector<PacketPtr>& pkts) {
-  if (pkts.empty()) return;
-  if (index_ + 1 >= chain_->modules_.size()) {
-    COOL_LOG(kWarn, "dacapo")
-        << chain_->name_ << ": " << pkts.size()
-        << " packet(s) forwarded past bottom module dropped";
-    pkts.clear();
-    return;
-  }
-  chain_->mailbox_.PushDownBatch(pkts, index_ + 1);
-}
-
-void ModuleChain::Port::ControlUp(ControlMsg msg) {
-  if (index_ == 0) {
-    if (chain_->control_sink_) chain_->control_sink_(std::move(msg));
-    return;
-  }
-  chain_->mailbox_.PushControl(Direction::kUp, std::move(msg), index_ - 1);
-}
-
-void ModuleChain::Port::ControlDown(ControlMsg msg) {
-  if (index_ + 1 >= chain_->modules_.size()) return;  // consumed at bottom
-  chain_->mailbox_.PushControl(Direction::kDown, std::move(msg), index_ + 1);
-}
-
-// --- BurstPort (engine thread, synchronous run-to-completion) --------------
+// --- BurstPort (synchronous run-to-completion) -----------------------------
 
 void ModuleChain::BurstPort::ForwardUp(PacketPtr pkt) {
   up_.push_back(std::move(pkt));
@@ -199,8 +177,8 @@ void ModuleChain::BurstPort::ControlDown(ControlMsg msg) {
 
 void ModuleChain::BurstPort::WaitArena(Duration d) {
   // Push out whatever this module already emitted (their buffers return to
-  // the arena once the bottom releases them), let the engine service
-  // up-traffic (ACKs opening windows below), then back off.
+  // the arena once the bottom releases them), service up-traffic and the
+  // T socket (ACKs opening windows below), then back off.
   Flush();
   chain_->PumpWhileWaiting();
   PreciseSleep(d);
@@ -229,7 +207,7 @@ void ModuleChain::BurstPort::FlushUp() {
   chain_->WalkUp(index_ - 1, local);
 }
 
-// --- engine ---------------------------------------------------------------
+// --- callback -------------------------------------------------------------
 
 void ModuleChain::WalkDown(std::size_t index, std::vector<PacketPtr>& pkts) {
   if (pkts.empty()) return;
@@ -341,27 +319,38 @@ bool ModuleChain::StallsEmpty() const {
 }
 
 void ModuleChain::ServiceTicks() {
-  const TimePoint now = Now();
+  TimePoint next = TimePoint::max();
   for (std::size_t i = 0; i < modules_.size(); ++i) {
     const auto interval = modules_[i]->TickInterval();
     if (!interval.has_value()) continue;
-    if (now - last_tick_[i] < *interval) continue;
-    BurstPort port(this, i);
-    modules_[i]->OnTick(port);
-    port.Flush();
-    last_tick_[i] = Now();
+    if (Now() - last_tick_[i] >= *interval) {
+      BurstPort port(this, i);
+      modules_[i]->OnTick(port);
+      port.Flush();
+      last_tick_[i] = Now();
+    }
+    next = std::min(next, last_tick_[i] + *interval);
+  }
+  // Lazy re-arm: a pending wakeup at or before `next` already covers it,
+  // so a busy chain keeps at most one timer entry in the heap.
+  if (next == TimePoint::max()) return;
+  if (armed_tick_ <= Now() || next < armed_tick_) {
+    armed_tick_ = next;
+    sim::Reactor::Default().ScheduleAt(
+        reg_id_.load(std::memory_order_relaxed), next);
   }
 }
 
-Duration ModuleChain::PopWait() const {
-  Duration wait = milliseconds(50);
-  for (const auto& m : modules_) {
-    if (const auto interval = m->TickInterval();
-        interval.has_value() && *interval < wait) {
-      wait = *interval;
-    }
+bool ModuleChain::PollReceive() {
+  if (polling_) return false;  // re-entered from WaitArena mid-poll
+  polling_ = true;
+  bool more = false;
+  for (std::size_t i = 0; i < modules_.size(); ++i) {
+    BurstPort port(this, i);
+    more = modules_[i]->PollReceive(port) || more;
   }
-  return wait;
+  polling_ = false;
+  return more;
 }
 
 void ModuleChain::DispatchPopped(std::vector<Mailbox::PopResult>& popped,
@@ -372,10 +361,6 @@ void ModuleChain::DispatchPopped(std::vector<Mailbox::PopResult>& popped,
     if (r.kind == Mailbox::PopResult::Kind::kControl) {
       WalkControl(r.control_dir, r.control_origin, std::move(r.control));
       ++i;
-      continue;
-    }
-    if (r.kind != Mailbox::PopResult::Kind::kData) {
-      ++i;  // PopBatch reports timeout/closed via its status, not items
       continue;
     }
     const Direction dir = r.data.dir;
@@ -398,57 +383,30 @@ void ModuleChain::DispatchPopped(std::vector<Mailbox::PopResult>& popped,
 void ModuleChain::PumpWhileWaiting() {
   // Service control and up-traffic only (never new down-data: the waiter
   // is mid-burst on the down path), then re-feed any stalls that opened.
-  // Local scratch: the engine's popped_ may be mid-iteration above us.
+  // Local scratch: popped_ may be mid-iteration above us.
   std::vector<Mailbox::PopResult> popped;
-  const auto st = mailbox_.PopBatch(/*accept_down=*/false, burst_size_,
-                                    Duration{}, popped);
-  if (st == Mailbox::BatchStatus::kItems) {
+  if (mailbox_.PopBatch(/*accept_down=*/false, burst_size_, popped) ==
+      Mailbox::BatchStatus::kItems) {
     std::vector<PacketPtr> run;
     DispatchPopped(popped, run);
   }
+  PollReceive();
   DrainStalls();
 }
 
-void ModuleChain::RunEngine(std::stop_token stop) {
-  std::size_t started_count = 0;
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    if (Status s = modules_[i]->OnStart(*ports_[i]); !s.ok()) {
-      COOL_LOG(kError, "dacapo")
-          << name_ << "/" << modules_[i]->name() << " failed to start: " << s;
-      ControlMsg err;
-      err.kind = ControlMsg::Kind::kError;
-      err.text = std::string(modules_[i]->name()) + ": " + s.ToString();
-      RouteControlUpFrom(i, std::move(err));
-      // A chain with a hole in it cannot carry traffic: wind down what
-      // already started and refuse service (injection fails from here on).
-      mailbox_.Close();
-      for (std::size_t j = 0; j < started_count; ++j) {
-        modules_[j]->OnStop(*ports_[j]);
-      }
-      return;
-    }
-    ++started_count;
-    last_tick_[i] = Now();
-  }
-
-  std::vector<PacketPtr> run;
-  while (!stop.stop_requested()) {
-    DrainStalls();
-    // While anything is stalled the engine accepts no new down-data, so
-    // stalled packets stay FIFO ahead of the mailbox.
-    const bool accept_down = StallsEmpty();
-    const auto st =
-        mailbox_.PopBatch(accept_down, burst_size_, PopWait(), popped_);
-    if (st == Mailbox::BatchStatus::kClosed) break;
-    if (st == Mailbox::BatchStatus::kItems) {
-      DispatchPopped(popped_, run);
-    }
-    // Timer service even under continuous traffic.
-    ServiceTicks();
-  }
-
-  for (std::size_t i = 0; i < modules_.size(); ++i) {
-    modules_[i]->OnStop(*ports_[i]);
+void ModuleChain::RunOnce() {
+  DrainStalls();
+  // While anything is stalled no new down-data is popped, so stalled
+  // packets stay FIFO ahead of the mailbox.
+  const auto st = mailbox_.PopBatch(StallsEmpty(), burst_size_, popped_);
+  if (st == Mailbox::BatchStatus::kClosed) return;  // Stop() tears down
+  if (st == Mailbox::BatchStatus::kItems) DispatchPopped(popped_, run_);
+  const bool rx_more = PollReceive();
+  DrainStalls();  // what arrived may have opened a window below
+  // Timer service even under continuous traffic.
+  ServiceTicks();
+  if (rx_more || mailbox_.HasEligible(StallsEmpty())) {
+    sim::Reactor::Default().Schedule(reg_id_.load(std::memory_order_relaxed));
   }
 }
 

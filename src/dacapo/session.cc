@@ -6,6 +6,7 @@
 #include "cdr/encoder.h"
 #include "common/logging.h"
 #include "dacapo/t_modules.h"
+#include "sim/reactor.h"
 
 namespace cool::dacapo {
 
@@ -18,6 +19,16 @@ constexpr std::size_t kTrailerSlack = 64;
 // data-plane accept). A peer that stalls or vanishes mid-setup must fail
 // the connect, not wedge the caller.
 constexpr Duration kHandshakeTimeout = seconds(10);
+
+// Largest signalling frame accepted (type octet + body).
+constexpr std::uint32_t kMaxSignallingFrame = 1024 * 1024;
+
+std::uint32_t FrameLength(const std::uint8_t* prefix) {
+  return static_cast<std::uint32_t>(prefix[0]) |
+         static_cast<std::uint32_t>(prefix[1]) << 8 |
+         static_cast<std::uint32_t>(prefix[2]) << 16 |
+         static_cast<std::uint32_t>(prefix[3]) << 24;
+}
 
 // Process-wide data-port allocator (ephemeral range of the simulation).
 std::uint16_t AllocDataPort() {
@@ -100,24 +111,6 @@ Status SendFrame(sim::StreamSocket& socket, std::uint8_t type,
   return socket.Send(frame);
 }
 
-Result<std::pair<std::uint8_t, std::vector<std::uint8_t>>> RecvFrame(
-    sim::StreamSocket& socket) {
-  std::uint8_t prefix[4];
-  COOL_RETURN_IF_ERROR(socket.RecvExact(prefix));
-  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
-                            static_cast<std::uint32_t>(prefix[1]) << 8 |
-                            static_cast<std::uint32_t>(prefix[2]) << 16 |
-                            static_cast<std::uint32_t>(prefix[3]) << 24;
-  if (len == 0 || len > 1024 * 1024) {
-    return Status(ProtocolError("bad signalling frame length"));
-  }
-  std::vector<std::uint8_t> data(len);
-  COOL_RETURN_IF_ERROR(socket.RecvExact(data));
-  const std::uint8_t type = data.front();
-  data.erase(data.begin());
-  return std::make_pair(type, std::move(data));
-}
-
 namespace {
 
 Status RecvExactBy(sim::StreamSocket& socket, std::span<std::uint8_t> out,
@@ -147,11 +140,8 @@ Result<std::pair<std::uint8_t, std::vector<std::uint8_t>>> RecvFrameFor(
   const TimePoint deadline = DeadlineFor(timeout);
   std::uint8_t prefix[4];
   COOL_RETURN_IF_ERROR(RecvExactBy(socket, prefix, deadline));
-  const std::uint32_t len = static_cast<std::uint32_t>(prefix[0]) |
-                            static_cast<std::uint32_t>(prefix[1]) << 8 |
-                            static_cast<std::uint32_t>(prefix[2]) << 16 |
-                            static_cast<std::uint32_t>(prefix[3]) << 24;
-  if (len == 0 || len > 1024 * 1024) {
+  const std::uint32_t len = FrameLength(prefix);
+  if (len == 0 || len > kMaxSignallingFrame) {
     return Status(ProtocolError("bad signalling frame length"));
   }
   std::vector<std::uint8_t> data(len);
@@ -174,7 +164,15 @@ Session::Session(sim::Network* net, std::string local_host,
       signalling_(std::move(signalling)),
       options_(std::move(options)),
       initiator_(initiator),
-      reservation_(std::move(reservation)) {}
+      reservation_(std::move(reservation)) {
+  sim::Reactor& reactor = sim::Reactor::Default();
+  signalling_reg_ = reactor.AddManual([this] { OnSignalling(); });
+  reactor.Attach(signalling_reg_,
+                 [this](const sim::WaitSet& set, std::uint64_t token) {
+                   signalling_->WatchRecv(set, token);
+                   return true;
+                 });
+}
 
 Session::~Session() { Close(); }
 
@@ -234,15 +232,18 @@ Result<Session::DataPlane> Session::BuildPlane(
       }
     });
   }
-  COOL_RETURN_IF_ERROR(plane.chain->Start());
+  COOL_RETURN_IF_ERROR(
+      plane.chain->Start(owner != nullptr ? owner->signalling_reg_ : 0));
   return plane;
 }
 
+void Session::StopPlane() {
+  ReaderMutexLock lock(plane_mu_);
+  if (plane_.chain != nullptr) plane_.chain->Stop();
+}
+
 void Session::AdoptPlane(DataPlane plane) {
-  {
-    ReaderMutexLock lock(plane_mu_);
-    if (plane_.chain != nullptr) plane_.chain->Stop();
-  }
+  StopPlane();
   DataPlane old;
   {
     WriterMutexLock lock(plane_mu_);
@@ -298,12 +299,12 @@ Result<ReceivedMessage> Session::ReceivePacket(Duration timeout) {
     // closed, surface the error. AdoptPlane stops the old chain slightly
     // before swapping the plane pointer in, so allow a short grace window
     // for the swap to land. The window is NOT capped by the caller's
-    // deadline: a short-quantum poller (the GIOP reply demultiplexer)
-    // interrupted by a swap must come back with kDeadlineExceeded
-    // (retryable) rather than kUnavailable (terminal).
+    // deadline: a receiver with a short timeout interrupted by a swap must
+    // come back with kDeadlineExceeded (retryable) rather than
+    // kUnavailable (terminal).
     const TimePoint grace_end = Now() + milliseconds(200);
     bool swapped = false;
-    while (!closed_.load() && Now() < grace_end) {
+    while (!closed_.load() && !hung_up_.load() && Now() < grace_end) {
       AppAModule* now_active = nullptr;
       {
         ReaderMutexLock lock(plane_mu_);
@@ -335,7 +336,8 @@ Result<ReceivedMessage> Session::TryReceivePacket() {
   }
   Result<PacketPtr> got = a->TryReceivePacket();
   if (!got.ok()) {
-    if (got.status().code() == ErrorCode::kUnavailable && !closed_.load()) {
+    if (got.status().code() == ErrorCode::kUnavailable && !closed_.load() &&
+        !hung_up_.load()) {
       // Reconfiguration in flight: the old plane is stopped but its
       // replacement has not landed yet. Nothing deliverable right now;
       // AdoptPlane signals the watch once the swap completes.
@@ -407,6 +409,9 @@ Status Session::Reconfigure(const ModuleGraphSpec& new_graph) {
 
   auto response = responses_.PopFor(seconds(10));
   if (!response.has_value()) {
+    if (responses_.closed()) {
+      return UnavailableError("signalling channel closed");
+    }
     return DeadlineExceededError("reconfiguration response timed out");
   }
   const std::uint8_t type = response->front();
@@ -465,94 +470,141 @@ void Session::HandleReconfRequest(std::span<const std::uint8_t> body) {
              .ok()) {
       return;
     }
-    auto data_sock = (*data_listener)->AcceptFor(seconds(10));
-    if (!data_sock.ok()) {
-      ReportError(data_sock.status());
-      return;
-    }
-    auto plane = BuildPlane(options_, req->graph,
-                            std::move(data_sock).value(), nullptr, {}, this);
-    if (!plane.ok()) {
-      ReportError(plane.status());
-      return;
-    }
-    AdoptPlane(std::move(plane).value());
-  } else {
-    const std::uint16_t port = AllocDataPort();
-    auto dgram = net_->OpenPort({local_host_, port});
-    if (!dgram.ok()) {
-      nak(dgram.status().ToString());
-      return;
-    }
-    auto plane = BuildPlane(
-        options_, req->graph, nullptr, std::move(dgram).value(),
-        {signalling_->remote().host, req->initiator_data_port}, this);
-    if (!plane.ok()) {
-      nak(plane.status().ToString());
-      return;
-    }
-    if (!wire::SendFrame(*signalling_, wire::kReconfAck, EncodeAck(port))
-             .ok()) {
-      return;
-    }
-    AdoptPlane(std::move(plane).value());
+    // The initiator connects on receipt of the ACK. This callback, not a
+    // blocking accept, picks the connection up: the listener joins the
+    // signalling registration's sources, and a deadline bounds the wait.
+    reconf_listener_ = std::move(data_listener).value();
+    reconf_graph_ = req->graph;
+    reconf_deadline_ = DeadlineFor(kHandshakeTimeout);
+    sim::Reactor& reactor = sim::Reactor::Default();
+    reactor.Attach(signalling_reg_,
+                   [this](const sim::WaitSet& set, std::uint64_t token) {
+                     reconf_listener_->WatchAccept(set, token);
+                     return true;
+                   });
+    reactor.ScheduleAt(signalling_reg_, reconf_deadline_);
+    return;
   }
+  const std::uint16_t port = AllocDataPort();
+  auto dgram = net_->OpenPort({local_host_, port});
+  if (!dgram.ok()) {
+    nak(dgram.status().ToString());
+    return;
+  }
+  auto plane = BuildPlane(
+      options_, req->graph, nullptr, std::move(dgram).value(),
+      {signalling_->remote().host, req->initiator_data_port}, this);
+  if (!plane.ok()) {
+    nak(plane.status().ToString());
+    return;
+  }
+  if (!wire::SendFrame(*signalling_, wire::kReconfAck, EncodeAck(port)).ok()) {
+    return;
+  }
+  AdoptPlane(std::move(plane).value());
   options_.graph = req->graph;
 }
 
-void Session::SignallingLoop(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    auto frame = wire::RecvFrame(*signalling_);
-    if (!frame.ok()) {
-      if (!closed_.load()) {
-        ReportError(UnavailableError("signalling channel lost"));
-      }
-      return;
-    }
-    const auto& [type, body] = *frame;
-    switch (type) {
-      case wire::kReconf:
-        HandleReconfRequest(body);
-        break;
-      case wire::kReconfAck:
-      case wire::kReconfNak: {
-        std::vector<std::uint8_t> tagged;
-        tagged.reserve(body.size() + 1);
-        tagged.push_back(type);
-        tagged.insert(tagged.end(), body.begin(), body.end());
-        responses_.Push(std::move(tagged));
-        break;
-      }
-      case wire::kClose:
-        ReportError(UnavailableError("peer closed the connection"));
-        {
-          ReaderMutexLock lock(plane_mu_);
-          if (plane_.chain != nullptr) plane_.chain->Stop();
-        }
-        return;
-      default:
-        COOL_LOG(kWarn, "dacapo")
-            << "unknown signalling frame type " << int{type};
-        break;
-    }
+void Session::CompleteReconfAccept() {
+  auto data_sock = reconf_listener_->TryAccept();
+  if (data_sock.ok() && *data_sock == nullptr) {
+    if (Now() < reconf_deadline_) return;  // not connected yet
+    data_sock =
+        Status(DeadlineExceededError("reconfiguration accept timed out"));
   }
+  reconf_listener_.reset();
+  if (!data_sock.ok()) {
+    ReportError(data_sock.status());
+    return;
+  }
+  auto plane = BuildPlane(options_, reconf_graph_, std::move(data_sock).value(),
+                          nullptr, {}, this);
+  if (!plane.ok()) {
+    ReportError(plane.status());
+    return;
+  }
+  AdoptPlane(std::move(plane).value());
+  options_.graph = reconf_graph_;
+}
+
+void Session::OnSignalling() {
+  if (reconf_listener_ != nullptr) CompleteReconfAccept();
+  Status lost = Status::Ok();
+  for (;;) {
+    std::uint8_t chunk[4096];
+    auto got = signalling_->TryRecv(chunk);
+    if (!got.ok()) {
+      lost = UnavailableError("signalling channel lost");
+      break;
+    }
+    if (*got == 0) break;
+    signalling_rx_.insert(signalling_rx_.end(), chunk, chunk + *got);
+  }
+  std::size_t off = 0;
+  while (signalling_rx_.size() - off >= 4) {
+    const std::uint32_t len = FrameLength(signalling_rx_.data() + off);
+    if (len == 0 || len > kMaxSignallingFrame) {
+      lost = ProtocolError("bad signalling frame length");
+      break;
+    }
+    if (signalling_rx_.size() - off - 4 < len) break;  // partial frame
+    const std::uint8_t type = signalling_rx_[off + 4];
+    const std::span<const std::uint8_t> body{signalling_rx_.data() + off + 5,
+                                             len - 1};
+    off += 4 + len;
+    if (!HandleSignallingFrame(type, body)) return;
+  }
+  signalling_rx_.erase(
+      signalling_rx_.begin(),
+      signalling_rx_.begin() + static_cast<std::ptrdiff_t>(off));
+  if (!lost.ok()) HangUp(std::move(lost));
+}
+
+bool Session::HandleSignallingFrame(std::uint8_t type,
+                                    std::span<const std::uint8_t> body) {
+  switch (type) {
+    case wire::kReconf:
+      HandleReconfRequest(body);
+      return true;
+    case wire::kReconfAck:
+    case wire::kReconfNak: {
+      std::vector<std::uint8_t> tagged;
+      tagged.reserve(body.size() + 1);
+      tagged.push_back(type);
+      tagged.insert(tagged.end(), body.begin(), body.end());
+      responses_.Push(std::move(tagged));
+      return true;
+    }
+    case wire::kClose:
+      HangUp(UnavailableError("peer closed the connection"));
+      return false;
+    default:
+      COOL_LOG(kWarn, "dacapo")
+          << "unknown signalling frame type " << int{type};
+      return true;
+  }
+}
+
+void Session::HangUp(Status why) {
+  if (!closed_.load()) ReportError(std::move(why));
+  hung_up_.store(true);
+  // A Reconfigure waiting for its answer fails at once (kUnavailable).
+  responses_.Close();
+  // Colocated with this registration: stops without waiting.
+  StopPlane();
+  reconf_listener_.reset();
+  sim::Reactor::Default().Remove(signalling_reg_);  // self-removal
 }
 
 void Session::Close() {
   if (closed_.exchange(true)) return;
   (void)wire::SendFrame(*signalling_, wire::kClose, {});
-  signalling_->Close();  // wakes the signalling thread
+  signalling_->Close();
+  // Barrier: no signalling callback runs (or swaps the plane) after this.
+  sim::Reactor::Default().Remove(signalling_reg_);
   responses_.Close();
-  {
-    ReaderMutexLock lock(plane_mu_);
-    if (plane_.chain != nullptr) plane_.chain->Stop();
-  }
+  StopPlane();
   rx_watch_.SignalReady();
-  if (signalling_thread_.joinable() &&
-      signalling_thread_.get_id() != std::this_thread::get_id()) {
-    signalling_thread_.request_stop();
-    signalling_thread_.join();
-  }
 }
 
 // --- Connector ---------------------------------------------------------------
@@ -609,8 +661,6 @@ Result<std::unique_ptr<Session>> Connector::Connect(
                                    {remote.host, peer_port}, session.get()));
   }
   session->AdoptPlane(std::move(plane));
-  session->signalling_thread_ = Thread(
-      [s = session.get()](std::stop_token st) { s->SignallingLoop(st); });
   return session;
 }
 
@@ -737,8 +787,6 @@ Result<std::unique_ptr<Session>> Acceptor::Establish(
                                          wire::kConfigAck, EncodeAck(port)));
   }
   session->AdoptPlane(std::move(plane));
-  session->signalling_thread_ = Thread(
-      [s = session.get()](std::stop_token st) { s->SignallingLoop(st); });
   return session;
 }
 

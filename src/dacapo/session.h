@@ -16,6 +16,11 @@
 // re-negotiation rebuilds the data plane ("changes in QoS requirements
 // have to be reflected in reconfigurations of the transport connection",
 // paper §4.2) while the signalling channel persists.
+//
+// A session owns no thread. Its signalling socket is one registration on
+// sim::Reactor::Default() that parses frames without blocking, and each
+// data plane's module chain is a second registration on the same worker,
+// so the signalling callback may stop or swap the plane without waiting.
 #pragma once
 
 #include <atomic>
@@ -26,7 +31,6 @@
 
 #include "common/blocking_queue.h"
 #include "common/mutex.h"
-#include "common/thread.h"
 #include "dacapo/config_manager.h"
 #include "dacapo/graph.h"
 #include "dacapo/modules.h"
@@ -206,6 +210,7 @@ class Session {
   // peer and rebuild the data plane. Traffic must be quiesced by the
   // caller; queued but undelivered packets may be lost (the reliable
   // mechanisms of the *new* graph do not cover the old graph's flight).
+  // A peer hang-up while waiting for the answer returns kUnavailable.
   Status Reconfigure(const ModuleGraphSpec& new_graph);
 
   // First unrecovered protocol error reported by the module graph, if any.
@@ -253,8 +258,17 @@ class Session {
       sim::Address dgram_peer, Session* owner);
 
   void AdoptPlane(DataPlane plane);
-  void SignallingLoop(std::stop_token stop);
+  void StopPlane();
+  // The signalling registration's callback: finishes a pending RECONF
+  // data-plane accept, then parses every complete frame received.
+  void OnSignalling();
+  // Returns false once the signalling plane is finished (CLOSE).
+  bool HandleSignallingFrame(std::uint8_t type,
+                             std::span<const std::uint8_t> body);
   void HandleReconfRequest(std::span<const std::uint8_t> body);
+  void CompleteReconfAccept();
+  // Peer closed or lost: fail waiters, stop the plane, unregister.
+  void HangUp(Status why);
   void ReportError(Status error);
 
   sim::Network* net_;
@@ -273,8 +287,20 @@ class Session {
   mutable Mutex error_mu_{LockRank::kSession, "dacapo::Session::error_mu_"};
   Status error_ COOL_GUARDED_BY(error_mu_);
 
-  Thread signalling_thread_;
+  // Reactor id of the signalling registration; data-plane chains are
+  // colocated with it.
+  std::uint64_t signalling_reg_ = 0;
+  // Signalling-callback state (run-to-completion, so no lock): received
+  // bytes not yet parsed into a frame, and the responder's pending RECONF
+  // data-plane accept.
+  std::vector<std::uint8_t> signalling_rx_;
+  std::unique_ptr<sim::Listener> reconf_listener_;
+  ModuleGraphSpec reconf_graph_;
+  TimePoint reconf_deadline_{};
+
   std::atomic<bool> closed_{false};
+  // The peer hung up (CLOSE or signalling EOF): no plane will follow.
+  std::atomic<bool> hung_up_{false};
 
   // Receive-readiness watch. Lives on the Session (not the plane) so a
   // reactor registration survives reconfigurations; internally
@@ -370,12 +396,10 @@ inline constexpr std::uint8_t kClose = 7;
 // Frame helpers shared by Session/Connector/Acceptor (length-prefixed).
 Status SendFrame(sim::StreamSocket& socket, std::uint8_t type,
                  std::span<const std::uint8_t> body);
-// Returns {type, body}.
-Result<std::pair<std::uint8_t, std::vector<std::uint8_t>>> RecvFrame(
-    sim::StreamSocket& socket);
-// As RecvFrame, but gives up with kDeadlineExceeded after `timeout`. Used
-// for the connection-setup handshake, where the peer may never answer (it
-// can vanish, or its listener may close with the connect still queued).
+// Receives one frame as {type, body}, giving up with kDeadlineExceeded
+// after `timeout`. Used for the connection-setup handshake, where the peer
+// may never answer (it can vanish, or its listener may close with the
+// connect still queued).
 Result<std::pair<std::uint8_t, std::vector<std::uint8_t>>> RecvFrameFor(
     sim::StreamSocket& socket, Duration timeout);
 }  // namespace wire

@@ -17,7 +17,7 @@ cdr::Decoder GiopClient::Reply::MakeResultsDecoder() const {
 GiopClient::GiopClient(transport::ComChannel* channel, Options options)
     : channel_(channel), options_(std::move(options)) {
   if (options_.reactor == nullptr) {
-    options_.reactor = &transport::Reactor::Default();
+    options_.reactor = &sim::Reactor::Default();
   }
 }
 

@@ -34,7 +34,7 @@
 #include "giop/dispatch_pool.h"
 #include "giop/message.h"
 #include "transport/com_channel.h"
-#include "transport/reactor.h"
+#include "sim/reactor.h"
 
 namespace cool::giop {
 
@@ -55,7 +55,7 @@ class GiopClient {
     // must outlive the engine. The channel must implement the non-blocking
     // receive path (RegisterRx); otherwise the first call fails with
     // kUnsupported and the connection is marked broken.
-    transport::Reactor* reactor = nullptr;
+    sim::Reactor* reactor = nullptr;
   };
 
   // The channel must outlive the engine.

@@ -1,6 +1,8 @@
 #include "orb/giop_module.h"
 
+#include "common/deadlock.h"
 #include "common/logging.h"
+#include "sim/reactor.h"
 
 namespace cool::orb {
 
@@ -141,27 +143,36 @@ Alt2Server::~Alt2Server() { Shutdown(); }
 
 Status Alt2Server::Start() {
   COOL_RETURN_IF_ERROR(acceptor_.Listen());
-  accept_thread_ = Thread([this](std::stop_token st) { AcceptLoop(st); });
+  COOL_ASSIGN_OR_RETURN(
+      accept_reg_,
+      sim::Reactor::Default().Add(
+          [this](const sim::WaitSet& set, std::uint64_t token) {
+            return acceptor_.WatchAccept(set, token);
+          },
+          [this] { DrainAccept(); }));
   return Status::Ok();
 }
 
 void Alt2Server::Shutdown() {
   if (shutdown_.exchange(true)) return;
   acceptor_.Close();
-  if (accept_thread_.joinable()) {
-    accept_thread_.request_stop();
-    accept_thread_.join();
-  }
+  sim::Reactor::Default().Remove(accept_reg_);  // barrier
   MutexLock lock(mu_);
   for (auto& session : sessions_) session->Close();
 }
 
-void Alt2Server::AcceptLoop(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    auto session = acceptor_.Accept();
-    if (!session.ok()) return;  // acceptor closed
+void Alt2Server::DrainAccept() {
+  // Bounded by design: TryAccept runs the setup handshake only for a
+  // connection already pending, the initiator sends CONFIG immediately
+  // after connecting, and every recv inside carries kHandshakeTimeout —
+  // the same bound DacapoComManager::TryAcceptChannel relies on
+  // (DESIGN.md §11).
+  deadlock::ScopedBlockingAllowed handshake_is_bounded;
+  for (;;) {
+    auto session = acceptor_.TryAccept();
+    if (!session.ok() || *session == nullptr) return;  // closed, or drained
     MutexLock lock(mu_);
-    if (shutdown_.load()) return;
+    if (shutdown_.load()) return;  // the session closes on destruction
     ++connections_;
     sessions_.push_back(std::move(session).value());
   }

@@ -12,8 +12,10 @@
 //  * GiopServerAModule — the server's GIOP engine as the top (A) module of
 //    a Da CaPo chain: parses Requests arriving up the graph, upcalls the
 //    object adapter, and pushes Replies back down. No generic transport
-//    layer, no per-connection server thread: the module's own thread IS
-//    the dispatcher.
+//    layer, no per-connection server thread: the chain's reactor callback
+//    IS the dispatcher. Upcalls therefore run inline on a shared
+//    sim::Reactor::Default() worker, and servants exported through an
+//    Alt2Server must not block (no waits on other calls, no sleeps).
 //  * SessionComChannel — the client-side counterpart: a thin ComChannel
 //    over a raw Da CaPo session (one GIOP message per packet), so the
 //    ordinary GiopClient drives an alternative-(ii) server unchanged.
@@ -22,7 +24,6 @@
 #include <atomic>
 
 #include "common/mutex.h"
-#include "common/thread.h"
 #include "dacapo/module.h"
 #include "dacapo/session.h"
 #include "giop/message.h"
@@ -64,8 +65,8 @@ class GiopServerAModule : public dacapo::Module {
 
   ObjectAdapter* adapter_;
   Options options_;
-  // Atomic because tests read it while the module thread serves; dispatch
-  // itself stays inline on the module thread — in alternative (ii) the
+  // Atomic because tests read it while the chain serves; dispatch itself
+  // stays inline in the chain's callback — in alternative (ii) the
   // message protocol lives inside the Da CaPo graph, whose runtime already
   // serializes a module's upcalls (no worker pool here by design).
   std::atomic<std::uint64_t> requests_served_{0};
@@ -112,9 +113,9 @@ class SessionComChannel : public transport::ComChannel {
 
 // An alternative-(ii) server endpoint: accepts Da CaPo connections whose
 // accepted sessions are built with a GiopServerAModule as their layer-A
-// module — the GIOP engine runs *inside* the module graph, on the module's
-// own thread. There is no generic transport layer and no per-connection
-// GIOP server thread on this path.
+// module — the GIOP engine runs *inside* the module graph, in the chain's
+// reactor callback. Accepting is a registration on sim::Reactor::Default()
+// too: the server costs no thread, and neither does a connection.
 class Alt2Server {
  public:
   Alt2Server(sim::Network* net, sim::Address listen, ObjectAdapter* adapter);
@@ -128,12 +129,13 @@ class Alt2Server {
   std::uint64_t connections() const;
 
  private:
-  void AcceptLoop(std::stop_token stop);
+  // The accept registration's callback: adopts every pending connection.
+  void DrainAccept();
 
   dacapo::Acceptor acceptor_;
   ObjectAdapter* adapter_;
   GiopServerAModule::Options options_;
-  Thread accept_thread_;
+  std::uint64_t accept_reg_ = 0;  // reactor id, 0 until Start
 
   mutable Mutex mu_{LockRank::kOrb, "orb::Alt2Server::mu_"};
   std::vector<std::unique_ptr<dacapo::Session>> sessions_

@@ -22,7 +22,7 @@ ORB::ORB(sim::Network* net, std::string host, Options options)
       ipc_(net, sim::Address{host_, options_.ipc_port}),
       dacapo_(net, sim::Address{host_, options_.dacapo_port},
               options_.estimate, options_.resources),
-      reactor_(transport::Reactor::Options{
+      reactor_(sim::Reactor::Options{
           .workers = options_.reactor_threads,
           .pin_workers = options_.pin_reactor_workers}) {}
 
@@ -166,7 +166,7 @@ void ORB::AdoptTrain(
   const std::size_t n = channels.size();
   std::vector<std::shared_ptr<Connection>> conns;
   conns.reserve(n);
-  std::vector<transport::Reactor::Callback> cbs;
+  std::vector<sim::Reactor::Callback> cbs;
   cbs.reserve(n);
   for (auto& channel : channels) {
     auto conn = std::make_shared<Connection>();

@@ -27,7 +27,7 @@
 #include "transport/dacapo_channel.h"
 #include "transport/ipc_channel.h"
 #include "transport/qos_egress.h"
-#include "transport/reactor.h"
+#include "sim/reactor.h"
 #include "transport/tcp_channel.h"
 
 namespace cool::orb {
@@ -77,7 +77,7 @@ class ORB {
     unsigned reactor_threads = 0;
     // BESS-style per-core placement of the reactor workers. Combined with
     // the fixed connection -> worker mapping this keeps each connection's
-    // state on one cache domain (see transport::Reactor::Options).
+    // state on one cache domain (see sim::Reactor::Options).
     bool pin_reactor_workers = false;
     // Close accepted connections that carried no inbound traffic for this
     // long (zero = never). Deadlines ride the reactor's lazily-cancelled
@@ -129,7 +129,7 @@ class ORB {
 
   // The connection engine: server accepts and reads, and the reply demux
   // of every Stub bound through this ORB.
-  transport::Reactor& reactor() noexcept { return reactor_; }
+  sim::Reactor& reactor() noexcept { return reactor_; }
   giop::DispatchPool* dispatch_pool() noexcept { return dispatch_pool_.get(); }
   transport::EgressScheduler* egress_scheduler() noexcept {
     return egress_.get();
@@ -214,7 +214,7 @@ class ORB {
   std::unique_ptr<giop::DispatchPool> dispatch_pool_;
   // Built with the ORB, not by Start(): client-only ORBs are never started
   // but their stubs' reply demux still runs here.
-  transport::Reactor reactor_;
+  sim::Reactor reactor_;
   std::vector<std::uint64_t> accept_regs_;
 
   // One immutable GIOP server config shared by every accepted connection

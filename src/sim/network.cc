@@ -33,9 +33,48 @@ Status StreamPipe::WriteV(std::span<const std::span<const std::uint8_t>> parts) 
   MutexLock lock(mu_);
   while (!closed_ && buffered_bytes_ >= window_bytes_) writable_.Wait(mu_);
   if (closed_) return UnavailableError("stream closed");
+  EnqueueLocked(parts, total, send_done + link_.latency);
+  return Status::Ok();
+}
 
+Result<bool> StreamPipe::TryWriteV(
+    std::span<const std::span<const std::uint8_t>> parts) {
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  MutexLock lock(mu_);
+  if (closed_) return Status(UnavailableError("stream closed"));
+  if (total == 0) return true;
+  if (buffered_bytes_ >= window_bytes_) {
+    write_refused_ = true;
+    return false;
+  }
+  // The link slot WriteV would sleep through: reserved, not waited out.
+  TimePoint send_done = std::max(Now(), link_free_at_);
+  if (link_.bandwidth_bps == 0) {
+    EnqueueLocked(parts, total, send_done + link_.latency);
+  } else {
+    // A paced link delivers the gather progressively, each part once its
+    // own serialization completes: no caller sleeps between the parts, so
+    // a whole burst must not become readable only with its last octet.
+    for (const auto& part : parts) {
+      if (part.empty()) continue;
+      send_done += link_.SerializationDelay(part.size());
+      EnqueueLocked({&part, 1}, part.size(), send_done + link_.latency);
+    }
+  }
+  link_free_at_ = send_done;
+  return true;
+}
+
+bool StreamPipe::Writable() {
+  MutexLock lock(mu_);
+  return closed_ || buffered_bytes_ < window_bytes_;
+}
+
+void StreamPipe::EnqueueLocked(
+    std::span<const std::span<const std::uint8_t>> parts, std::size_t total,
+    TimePoint deliver_at) {
   Chunk chunk;
-  const TimePoint deliver_at = send_done + link_.latency;
   chunk.ready = deliver_at;
   if (!spare_.empty()) {
     chunk.data = std::move(spare_.back());  // recycled backing store
@@ -49,7 +88,6 @@ Status StreamPipe::WriteV(std::span<const std::span<const std::uint8_t>> parts) 
   chunks_.push_back(std::move(chunk));
   readable_.NotifyOne();  // under the lock: destruction-safe
   read_watch_.SignalReady(deliver_at);
-  return Status::Ok();
 }
 
 Result<std::size_t> StreamPipe::Read(std::span<std::uint8_t> out,
@@ -105,7 +143,13 @@ std::size_t StreamPipe::DrainReadyLocked(std::span<std::uint8_t> out)
       PopChunkLocked();
     }
   }
-  if (copied > 0) writable_.NotifyOne();
+  if (copied > 0) {
+    writable_.NotifyOne();
+    if (write_refused_ && buffered_bytes_ < window_bytes_) {
+      write_refused_ = false;
+      write_watch_.SignalReady();
+    }
+  }
   return copied;
 }
 
@@ -129,12 +173,18 @@ void StreamPipe::WatchRead(const WaitSet& set, WaitSet::Token token) {
   read_watch_.Watch(set, token);
 }
 
+void StreamPipe::WatchWrite(const WaitSet& set, WaitSet::Token token) {
+  MutexLock lock(mu_);
+  write_watch_.Watch(set, token);
+}
+
 void StreamPipe::Close() {
   MutexLock lock(mu_);
   closed_ = true;
   readable_.NotifyAll();
   writable_.NotifyAll();
   read_watch_.SignalReady();
+  write_watch_.SignalReady();
 }
 
 void AcceptQueue::Enqueue(std::unique_ptr<StreamSocket> socket) {

@@ -60,6 +60,18 @@ class StreamPipe {
   // it apart from Write(join(parts)).
   Status WriteV(std::span<const std::span<const std::uint8_t>> parts);
 
+  // Non-blocking WriteV for reactor callers: reserves the link slot and
+  // enqueues at once, the last octet due when WriteV would make it
+  // (send_done + latency), so the reader sees the same pacing. On a paced
+  // link each part becomes readable as its own serialization completes.
+  // While the receive window is full it writes nothing and returns false;
+  // the write watcher fires once the reader frees space. kUnavailable once
+  // closed.
+  Result<bool> TryWriteV(std::span<const std::span<const std::uint8_t>> parts);
+
+  // True when TryWriteV would accept a write (or fail: the pipe closed).
+  bool Writable();
+
   // Blocks until at least one ready octet is available (or the pipe is
   // closed and drained -> kUnavailable; or `deadline` passes ->
   // kDeadlineExceeded). Returns the number of octets copied, up to
@@ -76,10 +88,17 @@ class StreamPipe {
   // `token` at the moment the data becomes readable.
   void WatchRead(const WaitSet& set, WaitSet::Token token);
 
+  // Attaches the write side to `set`: signalled when a refused TryWriteV
+  // may now succeed (window space freed) and on Close().
+  void WatchWrite(const WaitSet& set, WaitSet::Token token);
+
   void Close();
 
  private:
   std::size_t DrainReadyLocked(std::span<std::uint8_t> out)
+      COOL_REQUIRES(mu_);
+  void EnqueueLocked(std::span<const std::span<const std::uint8_t>> parts,
+                     std::size_t total, TimePoint deliver_at)
       COOL_REQUIRES(mu_);
 
   struct Chunk {
@@ -117,7 +136,8 @@ class StreamPipe {
   Mutex mu_{LockRank::kSimNetwork, "sim::StreamPipe::mu_"};
   CondVar readable_;
   CondVar writable_;
-  Watchable read_watch_;  // internally synchronised
+  Watchable read_watch_;   // internally synchronised
+  Watchable write_watch_;  // internally synchronised
   // In-flight chunk FIFO as vector + head index rather than std::deque: a
   // default-constructed deque eagerly allocates its map + first node
   // (~576 bytes in libstdc++), which at 100k connections — two pipes each
@@ -128,6 +148,9 @@ class StreamPipe {
   std::vector<std::vector<std::uint8_t>> spare_ COOL_GUARDED_BY(mu_);
   std::size_t buffered_bytes_ COOL_GUARDED_BY(mu_) = 0;
   TimePoint link_free_at_ COOL_GUARDED_BY(mu_){};
+  // A TryWriteV was refused: the next drain that opens the window signals
+  // write_watch_ (once — readers do not pay a post per read otherwise).
+  bool write_refused_ COOL_GUARDED_BY(mu_) = false;
   bool closed_ COOL_GUARDED_BY(mu_) = false;
 };
 
@@ -207,6 +230,16 @@ class StreamSocket {
   // Gathered send (writev): `parts` leave as one contiguous write.
   Status SendV(std::span<const std::span<const std::uint8_t>> parts) {
     return tx_->WriteV(parts);
+  }
+
+  // Non-blocking gathered send: false (nothing sent) while the peer's
+  // receive window is full; WatchSend signals when to retry.
+  Result<bool> TrySendV(std::span<const std::span<const std::uint8_t>> parts) {
+    return tx_->TryWriteV(parts);
+  }
+  bool Writable() { return tx_->Writable(); }
+  void WatchSend(const WaitSet& set, WaitSet::Token token) {
+    tx_->WatchWrite(set, token);
   }
 
   // Reads up to out.size() octets; blocks for at least one.

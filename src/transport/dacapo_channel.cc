@@ -139,16 +139,10 @@ Result<ByteBuffer> DacapoComChannel::ReceiveMessage(Duration timeout) {
   const TimePoint deadline = DeadlineFor(timeout);
   MutexLock lock(rx_mu_);
   for (;;) {
-    // The caller's deadline only gates the wait for a message to *start*.
-    // Once the first fragment is in, continuation fragments get their own
-    // floor: a short-quantum poller must not abandon a half-assembled
-    // message — the remaining fragments would desynchronize the stream.
-    Duration remaining = deadline - Now();
-    if (rx_partial_active_) {
-      remaining = std::max<Duration>(remaining, seconds(1));
-    }
+    // A timeout mid-message is harmless: the fragments received so far
+    // stay in rx_partial_ and the next receive continues the message.
     COOL_ASSIGN_OR_RETURN(dacapo::ReceivedMessage fragment,
-                          session_->ReceivePacket(remaining));
+                          session_->ReceivePacket(deadline - Now()));
     COOL_ASSIGN_OR_RETURN(std::optional<ByteBuffer> done,
                           ConsumeFragmentLocked(fragment));
     if (done.has_value()) return std::move(*done);

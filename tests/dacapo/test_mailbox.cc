@@ -15,15 +15,25 @@ PacketPtr MakePacket(PacketArena& arena, std::uint8_t tag) {
   return std::move(p).value();
 }
 
+// Pops one item; `status` reports kEmpty/kClosed when nothing came out.
+Mailbox::BatchStatus PopOne(Mailbox& mb, bool accept_down,
+                            Mailbox::PopResult* out) {
+  std::vector<Mailbox::PopResult> popped;
+  const auto st = mb.PopBatch(accept_down, 1, popped);
+  if (st == Mailbox::BatchStatus::kItems) *out = std::move(popped.front());
+  return st;
+}
+
 class MailboxTest : public ::testing::Test {
  protected:
   PacketArena arena_{32, 64};
 };
 
-TEST_F(MailboxTest, TimeoutWhenEmpty) {
+TEST_F(MailboxTest, EmptyPopReturnsAtOnce) {
   Mailbox mb;
-  const auto r = mb.PopNext(true, milliseconds(20));
-  EXPECT_EQ(r.kind, Mailbox::PopResult::Kind::kTimeout);
+  Mailbox::PopResult r;
+  EXPECT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kEmpty);
+  EXPECT_FALSE(mb.HasEligible(true));
 }
 
 TEST_F(MailboxTest, ControlBeatsData) {
@@ -35,7 +45,8 @@ TEST_F(MailboxTest, ControlBeatsData) {
   msg.text = "x";
   mb.PushControl(Direction::kUp, msg);
 
-  auto r = mb.PopNext(true, milliseconds(10));
+  Mailbox::PopResult r;
+  ASSERT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kItems);
   ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kControl);
   EXPECT_EQ(r.control.text, "x");
   EXPECT_EQ(r.control_dir, Direction::kUp);
@@ -46,12 +57,14 @@ TEST_F(MailboxTest, UpBeatsDown) {
   ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 2)));
   mb.PushUp(MakePacket(arena_, 1));
 
-  auto r1 = mb.PopNext(true, milliseconds(10));
+  Mailbox::PopResult r1;
+  ASSERT_EQ(PopOne(mb, true, &r1), Mailbox::BatchStatus::kItems);
   ASSERT_EQ(r1.kind, Mailbox::PopResult::Kind::kData);
   EXPECT_EQ(r1.data.dir, Direction::kUp);
   EXPECT_EQ(r1.data.pkt->Data()[0], 1);
 
-  auto r2 = mb.PopNext(true, milliseconds(10));
+  Mailbox::PopResult r2;
+  ASSERT_EQ(PopOne(mb, true, &r2), Mailbox::BatchStatus::kItems);
   ASSERT_EQ(r2.kind, Mailbox::PopResult::Kind::kData);
   EXPECT_EQ(r2.data.dir, Direction::kDown);
 }
@@ -60,15 +73,17 @@ TEST_F(MailboxTest, DownGatedByAcceptFlag) {
   Mailbox mb;
   ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
   // accept_down = false: the down packet is invisible.
-  auto r = mb.PopNext(false, milliseconds(20));
-  EXPECT_EQ(r.kind, Mailbox::PopResult::Kind::kTimeout);
+  Mailbox::PopResult r;
+  EXPECT_EQ(PopOne(mb, false, &r), Mailbox::BatchStatus::kEmpty);
+  EXPECT_FALSE(mb.HasEligible(false));
+  EXPECT_TRUE(mb.HasEligible(true));
   // ...but up traffic still flows.
   mb.PushUp(MakePacket(arena_, 2));
-  r = mb.PopNext(false, milliseconds(20));
+  ASSERT_EQ(PopOne(mb, false, &r), Mailbox::BatchStatus::kItems);
   ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kData);
   EXPECT_EQ(r.data.dir, Direction::kUp);
   // Re-enabling down releases the queued packet.
-  r = mb.PopNext(true, milliseconds(20));
+  ASSERT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kItems);
   ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kData);
   EXPECT_EQ(r.data.dir, Direction::kDown);
 }
@@ -87,7 +102,8 @@ TEST_F(MailboxTest, BoundedDownBlocksAndBackpressures) {
   std::this_thread::sleep_for(milliseconds(30));
   EXPECT_FALSE(third_pushed.load());  // full: pusher is blocked
 
-  auto r = mb.PopNext(true, milliseconds(10));
+  Mailbox::PopResult r;
+  ASSERT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kItems);
   ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kData);
   pusher.join();
   EXPECT_TRUE(third_pushed.load());
@@ -108,8 +124,8 @@ TEST_F(MailboxTest, CloseReportsClosedAndDropsQueued) {
   Mailbox mb;
   ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
   mb.Close();
-  EXPECT_EQ(mb.PopNext(true, milliseconds(10)).kind,
-            Mailbox::PopResult::Kind::kClosed);
+  Mailbox::PopResult r;
+  EXPECT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kClosed);
   // Dropped packets returned to the arena.
   EXPECT_EQ(arena_.in_flight(), 0u);
 }
@@ -120,8 +136,8 @@ TEST_F(MailboxTest, PushAfterCloseIsNoOp) {
   EXPECT_FALSE(mb.PushDown(MakePacket(arena_, 1)));
   mb.PushUp(MakePacket(arena_, 2));        // silently dropped
   mb.PushControl(Direction::kUp, ControlMsg{});
-  EXPECT_EQ(mb.PopNext(true, milliseconds(5)).kind,
-            Mailbox::PopResult::Kind::kClosed);
+  Mailbox::PopResult r;
+  EXPECT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kClosed);
   EXPECT_EQ(arena_.in_flight(), 0u);
 }
 
@@ -129,22 +145,59 @@ TEST_F(MailboxTest, FifoWithinEachQueue) {
   Mailbox mb;
   for (std::uint8_t i = 0; i < 5; ++i) mb.PushUp(MakePacket(arena_, i));
   for (std::uint8_t i = 0; i < 5; ++i) {
-    auto r = mb.PopNext(true, milliseconds(5));
+    Mailbox::PopResult r;
+    ASSERT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kItems);
     ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kData);
     EXPECT_EQ(r.data.pkt->Data()[0], i);
   }
 }
 
+// The consumer sleeps until the wake hook fires (a reactor registration
+// waits the same way), then pops without blocking.
 TEST_F(MailboxTest, WakesSleepingPopper) {
   Mailbox mb;
+  std::atomic<bool> woken{false};
+  mb.SetWake([&woken] { woken = true; });
   cool::Thread popper([&] {
-    auto r = mb.PopNext(true, seconds(5));
+    const TimePoint deadline = DeadlineFor(seconds(5));
+    while (!woken.load() && Now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    Mailbox::PopResult r;
+    ASSERT_EQ(PopOne(mb, true, &r), Mailbox::BatchStatus::kItems);
     ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kData);
     EXPECT_EQ(r.data.pkt->Data()[0], 42);
   });
   std::this_thread::sleep_for(milliseconds(20));
   mb.PushUp(MakePacket(arena_, 42));
   popper.join();
+}
+
+// The consumer is a reactor registration: a push into an idle mailbox
+// calls the wake hook once, further pushes ride on that wakeup until the
+// consumer pops again, and the next push after a pop wakes it again.
+TEST_F(MailboxTest, PushWakesAnIdleConsumerOnce) {
+  Mailbox mb;
+  std::atomic<int> wakes{0};
+  mb.SetWake([&wakes] { ++wakes; });
+  mb.PushUp(MakePacket(arena_, 1));
+  mb.PushUp(MakePacket(arena_, 2));
+  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 3)));
+  EXPECT_EQ(wakes.load(), 1);
+
+  std::vector<Mailbox::PopResult> out;
+  ASSERT_EQ(mb.PopBatch(true, 8, out), Mailbox::BatchStatus::kItems);
+  EXPECT_EQ(out.size(), 3u);
+  mb.PushControl(Direction::kDown, ControlMsg{});
+  EXPECT_EQ(wakes.load(), 2);
+
+  // A consumer that declined down-data (stalled chain) is not woken by
+  // more of it, only by up/control traffic.
+  ASSERT_EQ(mb.PopBatch(false, 8, out), Mailbox::BatchStatus::kItems);
+  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 4)));
+  EXPECT_EQ(wakes.load(), 2);
+  mb.PushUp(MakePacket(arena_, 5));
+  EXPECT_EQ(wakes.load(), 3);
 }
 
 }  // namespace

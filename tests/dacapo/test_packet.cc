@@ -1,6 +1,12 @@
 #include "dacapo/packet.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
+
+#include <fstream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/thread.h"
 
@@ -76,6 +82,49 @@ TEST(PacketTest, TrailerOverflowFails) {
   Packet p(4);
   ASSERT_TRUE(p.SetPayload(Bytes({1, 2, 3, 4})).ok());
   EXPECT_EQ(p.PushTrailer(Bytes({9})).code(), ErrorCode::kResourceExhausted);
+}
+
+// Resident set of this process in KiB (/proc/self/status VmRSS).
+long VmRssKib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmRSS:") {
+      long kib = -1;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return -1;
+}
+
+// A Da CaPo plane's default arena (512 x 64 KiB) must not be touched when
+// it is built: packet storage is default-initialized, and a zero-filled
+// arena would add ~32 MB of resident memory to every plane. The bound is
+// relative to the same allocations made raw, which is what the allocator
+// touches by itself (about 2 MB; more under ASan, whose allocator fills
+// and shadows every block) — a zero-filled arena exceeds it by ~30 MB.
+TEST(ArenaTest, ConstructionDoesNotTouchPacketMemory) {
+  constexpr std::size_t kPackets = 512;
+  constexpr std::size_t kPayload = 64 * 1024;
+  malloc_trim(0);
+  const long before = VmRssKib();
+  ASSERT_GT(before, 0);
+  PacketArena arena(kPackets, kPayload);
+  const long arena_kib = VmRssKib() - before;
+  std::vector<std::unique_ptr<std::uint8_t[]>> raw;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    raw.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(
+        Packet::kHeadroom + kPayload));
+  }
+  const long raw_kib = VmRssKib() - before - arena_kib;
+  EXPECT_LT(arena_kib, raw_kib + 4 * 1024)
+      << "arena construction grew VmRSS by " << arena_kib
+      << " KiB; the same blocks allocated raw by " << raw_kib << " KiB";
+  auto pkt = arena.Make(Bytes({1, 2, 3}));
+  ASSERT_TRUE(pkt.ok());
+  EXPECT_EQ((*pkt)->Data()[2], 3);
 }
 
 TEST(ArenaTest, AllocateUpToCapacity) {

@@ -433,5 +433,44 @@ TEST(SessionTest, TrainSendSurvivesPlaneSwapAndCloseMidStream) {
   EXPECT_GT(received.load(), 0);
 }
 
+// Both sides send more than the 4 MiB stream window at once over a paced
+// link: each T module's non-blocking send finds the window full, its train
+// stalls, and the peer's reads (send readiness) restart it. Neither chain
+// may wedge the other, and every octet arrives in order.
+TEST(SessionTest, BidirectionalSendsBeyondTheStreamWindowComplete) {
+  sim::LinkProperties link;
+  link.bandwidth_bps = 400'000'000;  // 6 MiB in ~130 ms
+  link.latency = microseconds(100);
+  Rig rig(link);
+  auto [client, server] = rig.Establish(ChannelOptions{});
+  ASSERT_NE(client, nullptr);
+
+  constexpr std::size_t kMessage = 32 * 1024;
+  constexpr int kMessages = 192;  // 6 MiB per direction
+  std::atomic<int> bad{0};
+  std::vector<Thread> threads;
+  for (Session* s : {client.get(), server.get()}) {
+    threads.emplace_back([s, &bad] {
+      std::vector<std::uint8_t> msg(kMessage);
+      for (int i = 0; i < kMessages; ++i) {
+        msg[0] = static_cast<std::uint8_t>(i);
+        if (!s->Send(msg).ok()) ++bad;
+      }
+    });
+    threads.emplace_back([s, &bad] {
+      for (int i = 0; i < kMessages; ++i) {
+        auto got = s->Receive(seconds(10));
+        if (!got.ok() || got->size() != kMessage ||
+            (*got)[0] != static_cast<std::uint8_t>(i)) {
+          ++bad;
+          return;
+        }
+      }
+    });
+  }
+  threads.clear();  // join
+  EXPECT_EQ(bad.load(), 0);
+}
+
 }  // namespace
 }  // namespace cool::dacapo

@@ -135,9 +135,11 @@ TEST(SessionShutdownRaceTest, CloseWakesBlockedReceive) {
 // Reconfiguration racing shutdown: one thread drives Reconfigure while the
 // peer tears the session down. Either outcome (reconfigured, or a clean
 // error) is acceptable; lost packets are not the subject here — absence of
-// data races and deadlocks is.
+// data races and deadlocks is. A peer hang-up fails the pending
+// Reconfigure at once, so no round sits out the 10 s response wait.
 TEST(SessionShutdownRaceTest, ReconfigureRacesPeerShutdown) {
   for (int round = 0; round < 5; ++round) {
+    const Stopwatch sw;
     Rig rig(6400);
     ChannelOptions options;
     options.graph = GraphOf({mechanisms::kCrc16});
@@ -155,6 +157,7 @@ TEST(SessionShutdownRaceTest, ReconfigureRacesPeerShutdown) {
     reconfigurer.join();
     killer.join();
     client->Close();
+    EXPECT_LT(sw.Elapsed(), seconds(2)) << "round " << round;
   }
 }
 

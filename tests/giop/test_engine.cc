@@ -10,7 +10,7 @@
 
 #include "common/clock.h"
 #include "common/thread.h"
-#include "transport/reactor.h"
+#include "sim/reactor.h"
 #include "transport/tcp_channel.h"
 
 namespace cool::giop {
@@ -317,7 +317,7 @@ TEST(GiopEngineTest, RequestIdsIncrease) {
 // a reactor callback, and teardown barriers the registration out.
 TEST(GiopEngineTest, ReactorDemuxInvokeAndTeardown) {
   Rig rig;
-  transport::Reactor reactor(2);
+  sim::Reactor reactor(2);
   GiopClient::Options copts;
   copts.reactor = &reactor;
   std::optional<GiopClient> client(std::in_place, rig.client_channel.get(),

@@ -349,6 +349,43 @@ TEST(ClientBindingThreadsTest, TcpBindingsSpawnNoThreads) {
   server.Shutdown();
 }
 
+// Da CaPo bindings cost reactor registrations too: each binding's module
+// chains and signalling planes (client and server side) register on the
+// shared Da CaPo reactor instead of spawning engine, receive and
+// signalling threads.
+TEST(ClientBindingThreadsTest, DacapoBindingsSpawnNoThreads) {
+  sim::Network net(QuickLink());
+  ORB server(&net, "server");
+  auto ref = server.RegisterServant("calc", std::make_shared<CalcServant>(),
+                                    Protocol::kDacapo);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  ORB::Options options;
+  options.reactor_threads = 1;
+  ORB client(&net, "client", options);
+  constexpr int kStubs = 8;
+  // Declared after the client ORB: every Stub dies before it.
+  std::vector<std::unique_ptr<Stub>> stubs;
+  int threads_after_one = -1;
+  for (int i = 0; i < kStubs; ++i) {
+    stubs.push_back(std::make_unique<Stub>(&client, *ref));
+    cdr::Encoder args = stubs.back()->MakeArgsEncoder();
+    args.PutLong(i);
+    args.PutLong(1);
+    auto reply = stubs.back()->Invoke("add", args.buffer().view());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    cdr::Decoder dec = reply->MakeDecoder();
+    EXPECT_EQ(*dec.GetLong(), i + 1);
+    if (i == 0) threads_after_one = ProcessThreads();
+  }
+  ASSERT_GT(threads_after_one, 0);
+  EXPECT_EQ(ProcessThreads(), threads_after_one);
+  EXPECT_EQ(server.connections_accepted(), static_cast<std::uint64_t>(kStubs));
+  stubs.clear();
+  server.Shutdown();
+}
+
 INSTANTIATE_TEST_SUITE_P(AllTransports, ConnectionChurnTest,
                          ::testing::Values(Protocol::kTcp, Protocol::kIpc,
                                            Protocol::kDacapo),

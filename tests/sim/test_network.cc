@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <thread>
 
 #include "common/thread.h"
@@ -106,6 +108,49 @@ TEST(NetworkTest, StreamDeliversLargeTransfersIntact) {
     sent += n;
   }
   server.join();
+}
+
+// The reactor-side send path: TryWriteV never blocks. Once the 4 MiB
+// receive window is full it refuses (writing nothing), and the write watch
+// fires as soon as the reader frees space, after which it accepts again.
+TEST(NetworkTest, TryWriteVRefusesOnFullWindowAndWatchFiresOnDrain) {
+  Network net(FastLink());
+  auto listener = net.Listen({"server", 10});
+  ASSERT_TRUE(listener.ok());
+  auto client = net.Connect("client", {"server", 10});
+  ASSERT_TRUE(client.ok());
+  auto server = (*listener)->Accept();
+  ASSERT_TRUE(server.ok());
+
+  WaitSet set;
+  ASSERT_TRUE(set.Add(7));
+  (*client)->WatchSend(set, 7);
+  std::array<WaitSet::ReadyEvent, 4> events;
+  ASSERT_EQ(set.Wait(events, milliseconds(100)), 1u);  // attach probe
+
+  const std::vector<std::uint8_t> chunk(1 << 20, 0x5a);
+  const std::span<const std::uint8_t> parts[] = {chunk};
+  std::size_t accepted = 0;
+  for (;;) {
+    auto sent = (*client)->TrySendV(parts);
+    ASSERT_TRUE(sent.ok());
+    if (!*sent) break;
+    ASSERT_LT(++accepted, 16u) << "window never filled";
+  }
+  EXPECT_EQ(accepted, 4u);  // 4 MiB window, 1 MiB writes
+  EXPECT_FALSE((*client)->Writable());
+  EXPECT_EQ(set.Wait(events, milliseconds(30)), 0u);  // nothing freed yet
+
+  std::vector<std::uint8_t> sink(64 * 1024);
+  auto got = (*server)->TryRecv(sink);
+  ASSERT_TRUE(got.ok());
+  ASSERT_GT(*got, 0u);
+  ASSERT_EQ(set.Wait(events, seconds(1)), 1u);
+  EXPECT_EQ(events[0].token, 7u);
+  EXPECT_TRUE((*client)->Writable());
+  auto again = (*client)->TrySendV(parts);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(*again);
 }
 
 TEST(NetworkTest, CloseUnblocksReader) {
