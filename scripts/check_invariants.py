@@ -62,6 +62,11 @@ DESIGN.md ("Concurrency model") over src/, tests/, bench/ and examples/:
      std::unordered_map / std::deque members (eager per-instance heap) or
      raw std::vector<std::uint8_t> buffers (bypass the BufferPool lease)
      without a PER_CONN_WAIVER comment.
+  16. Readiness sources signal only through sim::Watchable: no CondVar in
+     src/sim/network.* or src/transport/ (the egress scheduler, which parks
+     senders for their turn rather than signalling readiness, is
+     allowlisted). Every blocking receive, accept and write there is its
+     non-blocking twin plus one sim::AwaitReady wait on its watch.
 
 Exit status 0 when clean; 1 with findings on stdout otherwise.
 """
@@ -750,6 +755,42 @@ def check_per_conn_memory(findings: list[str]) -> None:
             )
 
 
+# --- rule 16: readiness sources signal only through Watchable ---------------
+# A blocking call on a simulated socket, accept/datagram queue or transport
+# channel is its non-blocking TryX plus one wait on the source's watch
+# (sim::AwaitReady, DESIGN.md §8). A CondVar in these files reintroduces a
+# second, separately written blocking path with its own wakeup mechanism,
+# which drifts from the non-blocking one (pacing, close and deadline
+# handling written twice).
+
+READINESS_SOURCE_RE = re.compile(r"^src/sim/network\.(h|cc)$|^src/transport/")
+
+READINESS_CONDVAR_ALLOWLIST = {
+    # The egress scheduler parks each send on its own ticket until its
+    # weighted-fair turn: an arbitration queue over senders, not a
+    # readiness source.
+    "src/transport/qos_egress.h",
+    "src/transport/qos_egress.cc",
+}
+
+CONDVAR_RE = re.compile(r"\bCondVar\b")
+
+
+def check_readiness_through_watchable(path: Path, clean: str,
+                                      findings: list[str]) -> None:
+    r = rel(path)
+    if not READINESS_SOURCE_RE.match(r) or r in READINESS_CONDVAR_ALLOWLIST:
+        return
+    for lineno, line in enumerate(clean.splitlines(), 1):
+        if CONDVAR_RE.search(line):
+            findings.append(
+                f"{r}:{lineno}: CondVar in a readiness source — sockets, "
+                f"queues and channels signal only through sim::Watchable; "
+                f"build the blocking call as its TryX plus sim::AwaitReady "
+                f"(rule 16, DESIGN.md §8)"
+            )
+
+
 # --- rule 12: lock-rank cross-check ------------------------------------------
 # Three artifacts must agree: the LockRank enum (src/common/lock_rank.h),
 # the machine-readable table (scripts/lock_order.yaml), and the Mutex /
@@ -950,6 +991,7 @@ def main() -> int:
         check_no_sleep_in_reactor_dirs(path, clean, findings)
         check_burst_data_path(path, clean, findings)
         check_scheduler_owns_queues(path, clean, findings)
+        check_readiness_through_watchable(path, clean, findings)
     check_decoder_bounds(findings)
     check_layering(findings)
     check_lock_ranks(findings)

@@ -111,25 +111,6 @@ Status SendFrame(sim::StreamSocket& socket, std::uint8_t type,
   return socket.Send(frame);
 }
 
-namespace {
-
-Status RecvExactBy(sim::StreamSocket& socket, std::span<std::uint8_t> out,
-                   TimePoint deadline) {
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const TimePoint now = Now();
-    if (now >= deadline) {
-      return Status(DeadlineExceededError("signalling handshake timed out"));
-    }
-    COOL_ASSIGN_OR_RETURN(std::size_t n,
-                          socket.RecvFor(out.subspan(got), deadline - now));
-    got += n;
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Result<std::pair<std::uint8_t, std::vector<std::uint8_t>>> RecvFrameFor(
     sim::StreamSocket& socket, Duration timeout) {
   // Handshake wait (seconds-scale timeout): never legal on a reactor
@@ -139,13 +120,13 @@ Result<std::pair<std::uint8_t, std::vector<std::uint8_t>>> RecvFrameFor(
       deadlock::AssertBlockingAllowed("dacapo::wire::RecvFrameFor"));
   const TimePoint deadline = DeadlineFor(timeout);
   std::uint8_t prefix[4];
-  COOL_RETURN_IF_ERROR(RecvExactBy(socket, prefix, deadline));
+  COOL_RETURN_IF_ERROR(socket.RecvExact(prefix, deadline));
   const std::uint32_t len = FrameLength(prefix);
   if (len == 0 || len > kMaxSignallingFrame) {
     return Status(ProtocolError("bad signalling frame length"));
   }
   std::vector<std::uint8_t> data(len);
-  COOL_RETURN_IF_ERROR(RecvExactBy(socket, data, deadline));
+  COOL_RETURN_IF_ERROR(socket.RecvExact(data, deadline));
   const std::uint8_t type = data.front();
   data.erase(data.begin());
   return std::make_pair(type, std::move(data));
@@ -269,55 +250,22 @@ Status Session::Send(std::span<const std::uint8_t> payload) {
 }
 
 Result<ReceivedMessage> Session::ReceivePacket(Duration timeout) {
-  const TimePoint deadline = DeadlineFor(timeout);
-  for (;;) {
-    AppAModule* a = nullptr;
-    std::shared_ptr<PacketArena> arena;
-    Result<PacketPtr> got(Status(UnavailableError("data plane torn down")));
-    {
-      // The blocking receive runs UNDER the shared lock: AdoptPlane stops
-      // the old chain while itself holding only a shared lock (which wakes
-      // us with kUnavailable) and needs the exclusive lock to destroy it,
-      // so the module cannot be freed while we are still inside it.
-      ReaderMutexLock lock(plane_mu_);
-      a = plane_.a_module;
-      if (a == nullptr) {
-        return Status(
-            FailedPreconditionError("session has no active data plane"));
-      }
-      arena = plane_.arena;
-      got = a->ReceivePacket(deadline - Now());
-    }
-    if (got.ok()) {
-      return ReceivedMessage(std::move(arena), std::move(got).value());
-    }
-    if (got.status().code() != ErrorCode::kUnavailable) {
-      return got.status();
-    }
-    // The plane we were blocked on was torn down. If a reconfiguration
-    // swapped in a new plane, keep receiving from it; if the session is
-    // closed, surface the error. AdoptPlane stops the old chain slightly
-    // before swapping the plane pointer in, so allow a short grace window
-    // for the swap to land. The window is NOT capped by the caller's
-    // deadline: a receiver with a short timeout interrupted by a swap must
-    // come back with kDeadlineExceeded (retryable) rather than
-    // kUnavailable (terminal).
-    const TimePoint grace_end = Now() + milliseconds(200);
-    bool swapped = false;
-    while (!closed_.load() && !hung_up_.load() && Now() < grace_end) {
-      AppAModule* now_active = nullptr;
-      {
-        ReaderMutexLock lock(plane_mu_);
-        now_active = plane_.a_module;
-      }
-      if (now_active != a) {
-        swapped = true;  // new plane adopted: retry the receive on it
-        break;
-      }
-      PreciseSleep(milliseconds(1));
-    }
-    if (!swapped) return got.status();  // genuinely closed, no replacement
-  }
+  // A plane swap needs no special case: TryReceivePacket reports "nothing
+  // yet" while the old plane is stopped, and AdoptPlane signals rx_watch_
+  // once the new one is in.
+  std::optional<Result<ReceivedMessage>> got = sim::AwaitReady(
+      [this](const sim::WaitSet& set, sim::WaitSet::Token token) {
+        rx_watch_.Watch(set, token);
+        return true;
+      },
+      [this]() -> std::optional<Result<ReceivedMessage>> {
+        Result<ReceivedMessage> next = TryReceivePacket();
+        if (next.ok() && !*next) return std::nullopt;
+        return next;
+      },
+      DeadlineFor(timeout));
+  if (got.has_value()) return *std::move(got);
+  return Status(DeadlineExceededError("receive timed out"));
 }
 
 Result<std::vector<std::uint8_t>> Session::Receive(Duration timeout) {
@@ -684,9 +632,17 @@ Result<std::unique_ptr<Session>> Acceptor::Accept(
   if (listener_ == nullptr) {
     return Status(FailedPreconditionError("acceptor is not listening"));
   }
-  COOL_ASSIGN_OR_RETURN(std::unique_ptr<sim::StreamSocket> signalling,
-                        listener_->Accept());
-  return Establish(std::move(signalling), delivery);
+  // With no deadline the wait ends only with a result.
+  return *sim::AwaitReady(
+      [this](const sim::WaitSet& set, sim::WaitSet::Token token) {
+        return WatchAccept(set, token);
+      },
+      [&]() -> std::optional<Result<std::unique_ptr<Session>>> {
+        Result<std::unique_ptr<Session>> next = TryAccept(delivery);
+        if (next.ok() && *next == nullptr) return std::nullopt;
+        return next;
+      },
+      TimePoint::max());
 }
 
 Result<std::unique_ptr<Session>> Acceptor::TryAccept(

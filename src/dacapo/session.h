@@ -183,9 +183,11 @@ class Session {
   }
 
   // Receives one application message (kQueue delivery mode) without
-  // copying it out of the arena. The message pins the plane's arena, so
-  // holding it past a reconfiguration is safe (it does hold one packet of
-  // the retired plane's pool until released).
+  // copying it out of the arena: TryReceivePacket, waiting on the receive
+  // watch (so a plane swap is ridden out) until `timeout`. The message
+  // pins the plane's arena, so holding it past a reconfiguration is safe
+  // (it does hold one packet of the retired plane's pool until released).
+  // Not while a reactor registration watches WatchRx.
   Result<ReceivedMessage> ReceivePacket(Duration timeout);
 
   // Receives one application message (kQueue delivery mode). Thin copying
@@ -339,9 +341,9 @@ class Acceptor {
 
   Status Listen();
 
-  // Serves one connection setup: blocks for a signalling connection,
-  // validates, builds the responder plane. The returned session delivers
-  // into an AppAModule with `delivery` mode.
+  // Serves one connection setup: TryAccept, waiting on the accept watch
+  // for a signalling connection. The returned session delivers into an
+  // AppAModule with `delivery` mode.
   Result<std::unique_ptr<Session>> Accept(
       AppAModule::DeliveryMode delivery = AppAModule::DeliveryMode::kQueue);
 

@@ -450,6 +450,10 @@ void GiopServer::Close() {
   cancel_memory_.reset();
 }
 
+Status GiopServer::SendClose() {
+  return SendSerialized(BuildCloseConnection(kGiop10, options_->order));
+}
+
 Status GiopServer::HandleRequest(ParsedMessage msg) {
   cdr::Decoder dec = msg.MakeBodyDecoder();
   auto header = ParseRequestHeader(dec, msg.header.version);

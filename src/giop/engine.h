@@ -335,6 +335,10 @@ class GiopServer : public DispatchRunner {
   // concurrently with itself.
   void Close();
 
+  // Orderly shutdown (GIOP CloseConnection): the client fails its
+  // outstanding requests at once instead of waiting out their timeouts.
+  Status SendClose();
+
   // Reply-body encoder over a pooled buffer (see MakeArgsEncoder).
   cdr::Encoder MakeBodyEncoder() const {
     return cdr::Encoder(options_->order, 0, BufferPool::Default().Lease());

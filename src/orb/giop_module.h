@@ -87,11 +87,6 @@ class SessionComChannel : public transport::ComChannel {
   Status SendMessage(std::span<const std::uint8_t> message) override {
     return session_->Send(message);
   }
-  Result<ByteBuffer> ReceiveMessage(Duration timeout) override {
-    COOL_ASSIGN_OR_RETURN(std::vector<std::uint8_t> payload,
-                          session_->Receive(timeout));
-    return ByteBuffer(std::move(payload));
-  }
   Result<std::optional<ByteBuffer>> TryReceiveMessage() override {
     Result<dacapo::ReceivedMessage> got = session_->TryReceivePacket();
     if (!got.ok()) return got.status();  // kUnavailable once closed+drained

@@ -127,9 +127,12 @@ void ORB::Shutdown() {
     shard.conns.clear();
   }
   for (auto& conn : conns) {
-    // Close first so a mid-callback drain (and any upcall mid-reply) fails
-    // fast instead of blocking; then barrier out the drain callback; then
-    // detach the server from the shared pool.
+    // Tell the client first (GIOP CloseConnection), so its calls in flight
+    // fail at once — IPC has no hang-up signal of its own. Then close, so
+    // a mid-callback drain (and any upcall mid-reply) fails fast instead
+    // of blocking; then barrier out the drain callback; then detach the
+    // server from the shared pool.
+    (void)conn->server->SendClose();
     conn->channel->Close();
     reactor_.Remove(conn->id);
     conn->server->Close();

@@ -8,54 +8,46 @@ namespace cool::sim {
 
 namespace internal {
 
-Status StreamPipe::Write(std::span<const std::uint8_t> data) {
-  const std::span<const std::uint8_t> one[] = {data};
-  return WriteV(one);
-}
-
 Status StreamPipe::WriteV(std::span<const std::span<const std::uint8_t>> parts) {
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  if (total == 0) return Status::Ok();
-
-  // Pace: the link is busy until every previously written octet has been
-  // serialized; this write extends that horizon.
-  TimePoint send_done;
-  {
-    MutexLock lock(mu_);
-    if (closed_) return UnavailableError("stream closed");
-    const TimePoint start = std::max(Now(), link_free_at_);
-    send_done = start + link_.SerializationDelay(total);
-    link_free_at_ = send_done;
-  }
+  std::optional<Result<TimePoint>> sent = AwaitReady(
+      [this](const WaitSet& set, WaitSet::Token token) {
+        WatchWrite(set, token);
+        return true;
+      },
+      [&] { return ReserveAndEnqueue(parts); }, TimePoint::max());
+  COOL_ASSIGN_OR_RETURN(const TimePoint send_done, *std::move(sent));
+  // The parts are already on their way; the caller still occupies the
+  // link for the reserved slot, as a blocking writev would.
   PreciseSleep(send_done - Now());
-
-  MutexLock lock(mu_);
-  while (!closed_ && buffered_bytes_ >= window_bytes_) writable_.Wait(mu_);
-  if (closed_) return UnavailableError("stream closed");
-  EnqueueLocked(parts, total, send_done + link_.latency);
   return Status::Ok();
 }
 
 Result<bool> StreamPipe::TryWriteV(
     std::span<const std::span<const std::uint8_t>> parts) {
+  std::optional<Result<TimePoint>> sent = ReserveAndEnqueue(parts);
+  if (!sent.has_value()) return false;
+  if (!sent->ok()) return sent->status();
+  return true;
+}
+
+std::optional<Result<TimePoint>> StreamPipe::ReserveAndEnqueue(
+    std::span<const std::span<const std::uint8_t>> parts) {
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
   MutexLock lock(mu_);
-  if (closed_) return Status(UnavailableError("stream closed"));
-  if (total == 0) return true;
+  if (closed_) return Result<TimePoint>(UnavailableError("stream closed"));
+  TimePoint send_done = std::max(Now(), link_free_at_);
+  if (total == 0) return Result<TimePoint>(send_done);
   if (buffered_bytes_ >= window_bytes_) {
     write_refused_ = true;
-    return false;
+    return std::nullopt;
   }
-  // The link slot WriteV would sleep through: reserved, not waited out.
-  TimePoint send_done = std::max(Now(), link_free_at_);
   if (link_.bandwidth_bps == 0) {
     EnqueueLocked(parts, total, send_done + link_.latency);
   } else {
     // A paced link delivers the gather progressively, each part once its
-    // own serialization completes: no caller sleeps between the parts, so
-    // a whole burst must not become readable only with its last octet.
+    // own serialization completes: a large burst must not become readable
+    // only with its last octet.
     for (const auto& part : parts) {
       if (part.empty()) continue;
       send_done += link_.SerializationDelay(part.size());
@@ -63,7 +55,7 @@ Result<bool> StreamPipe::TryWriteV(
     }
   }
   link_free_at_ = send_done;
-  return true;
+  return Result<TimePoint>(send_done);
 }
 
 bool StreamPipe::Writable() {
@@ -86,40 +78,25 @@ void StreamPipe::EnqueueLocked(
   }
   buffered_bytes_ += total;
   chunks_.push_back(std::move(chunk));
-  readable_.NotifyOne();  // under the lock: destruction-safe
   read_watch_.SignalReady(deliver_at);
 }
 
 Result<std::size_t> StreamPipe::Read(std::span<std::uint8_t> out,
-                                     std::optional<TimePoint> deadline) {
+                                     TimePoint deadline) {
   if (out.empty()) return std::size_t{0};
-  MutexLock lock(mu_);
-  for (;;) {
-    if (HasChunkLocked()) {
-      const TimePoint ready = FrontChunkLocked().ready;
-      if (ready <= Now()) break;
-      if (deadline.has_value() && ready > *deadline) {
-        if (Now() >= *deadline) {
-          return Status(DeadlineExceededError("stream read timed out"));
-        }
-        readable_.WaitUntil(mu_, *deadline);
-      } else {
-        readable_.WaitUntil(mu_, ready);
-      }
-      continue;
-    }
-    if (closed_) return Status(UnavailableError("stream closed by peer"));
-    if (deadline.has_value()) {
-      if (Now() >= *deadline) {
-        return Status(DeadlineExceededError("stream read timed out"));
-      }
-      readable_.WaitUntil(mu_, *deadline);
-    } else {
-      readable_.Wait(mu_);
-    }
-  }
-
-  return DrainReadyLocked(out);
+  std::optional<Result<std::size_t>> got = AwaitReady(
+      [this](const WaitSet& set, WaitSet::Token token) {
+        WatchRead(set, token);
+        return true;
+      },
+      [&]() -> std::optional<Result<std::size_t>> {
+        Result<std::size_t> n = TryRead(out);
+        if (n.ok() && *n == 0) return std::nullopt;
+        return n;
+      },
+      deadline);
+  if (got.has_value()) return *std::move(got);
+  return Status(DeadlineExceededError("stream read timed out"));
 }
 
 std::size_t StreamPipe::DrainReadyLocked(std::span<std::uint8_t> out)
@@ -144,7 +121,6 @@ std::size_t StreamPipe::DrainReadyLocked(std::span<std::uint8_t> out)
     }
   }
   if (copied > 0) {
-    writable_.NotifyOne();
     if (write_refused_ && buffered_bytes_ < window_bytes_) {
       write_refused_ = false;
       write_watch_.SignalReady();
@@ -181,8 +157,6 @@ void StreamPipe::WatchWrite(const WaitSet& set, WaitSet::Token token) {
 void StreamPipe::Close() {
   MutexLock lock(mu_);
   closed_ = true;
-  readable_.NotifyAll();
-  writable_.NotifyAll();
   read_watch_.SignalReady();
   write_watch_.SignalReady();
 }
@@ -191,32 +165,23 @@ void AcceptQueue::Enqueue(std::unique_ptr<StreamSocket> socket) {
   MutexLock lock(mu);
   if (closed) return;  // connection refused; peer sees closed pipes
   pending.push_back(std::move(socket));
-  cv.NotifyOne();
   watch.SignalReady();
 }
 
-Result<std::unique_ptr<StreamSocket>> AcceptQueue::Pop() {
-  MutexLock lock(mu);
-  while (!closed && pending.empty()) cv.Wait(mu);
-  if (pending.empty()) return Status(UnavailableError("listener closed"));
-  auto socket = std::move(pending.front());
-  pending.pop_front();
-  return socket;
-}
-
-Result<std::unique_ptr<StreamSocket>> AcceptQueue::PopFor(Duration timeout) {
-  const TimePoint deadline = DeadlineFor(timeout);
-  MutexLock lock(mu);
-  while (!closed && pending.empty()) {
-    if (!cv.WaitUntil(mu, deadline)) break;  // timed out
-  }
-  if (!closed && pending.empty()) {
-    return Status(DeadlineExceededError("accept timed out"));
-  }
-  if (pending.empty()) return Status(UnavailableError("listener closed"));
-  auto socket = std::move(pending.front());
-  pending.pop_front();
-  return socket;
+Result<std::unique_ptr<StreamSocket>> AcceptQueue::Pop(TimePoint deadline) {
+  std::optional<Result<std::unique_ptr<StreamSocket>>> got = AwaitReady(
+      [this](const WaitSet& set, WaitSet::Token token) {
+        WatchAccept(set, token);
+        return true;
+      },
+      [this]() -> std::optional<Result<std::unique_ptr<StreamSocket>>> {
+        Result<std::unique_ptr<StreamSocket>> next = TryPop();
+        if (next.ok() && *next == nullptr) return std::nullopt;
+        return next;
+      },
+      deadline);
+  if (got.has_value()) return *std::move(got);
+  return Status(DeadlineExceededError("accept timed out"));
 }
 
 Result<std::unique_ptr<StreamSocket>> AcceptQueue::TryPop() {
@@ -241,7 +206,6 @@ void AcceptQueue::Close() {
     MutexLock lock(mu);
     closed = true;
     orphans.swap(pending);
-    cv.NotifyAll();
     watch.SignalReady();
   }
   // Hang up connections that were queued but never accepted — their peers
@@ -259,42 +223,24 @@ void DatagramQueue::Deliver(TimePoint ready, Address from,
   t.seq = next_seq++;
   t.dgram = Datagram{std::move(from), std::move(payload)};
   rx.push(std::move(t));
-  cv.NotifyOne();
   watch.SignalReady(ready);
 }
 
-std::optional<Datagram> DatagramQueue::Pop() {
-  MutexLock lock(mu);
-  for (;;) {
-    if (!rx.empty()) {
-      const TimePoint ready = rx.top().ready;
-      if (ready <= Now()) break;
-      cv.WaitUntil(mu, ready);
-      continue;
-    }
-    if (closed) return std::nullopt;
-    cv.Wait(mu);
-  }
-  Datagram d = std::move(const_cast<TimedDatagram&>(rx.top()).dgram);
-  rx.pop();
-  return d;
-}
-
-std::optional<Datagram> DatagramQueue::PopFor(Duration timeout) {
-  const TimePoint deadline = DeadlineFor(timeout);
-  MutexLock lock(mu);
-  for (;;) {
-    if (!rx.empty() && rx.top().ready <= Now()) break;
-    const TimePoint wake =
-        rx.empty() ? deadline : std::min(deadline, rx.top().ready);
-    if (closed && rx.empty()) return std::nullopt;
-    if (Now() >= deadline) return std::nullopt;
-    cv.WaitUntil(mu, wake);
-    if (closed && rx.empty()) return std::nullopt;
-  }
-  Datagram d = std::move(const_cast<TimedDatagram&>(rx.top()).dgram);
-  rx.pop();
-  return d;
+std::optional<Datagram> DatagramQueue::Pop(TimePoint deadline) {
+  // The inner optional is empty once the queue is closed and drained.
+  std::optional<std::optional<Datagram>> got = AwaitReady(
+      [this](const WaitSet& set, WaitSet::Token token) {
+        WatchRecv(set, token);
+        return true;
+      },
+      [this]() -> std::optional<std::optional<Datagram>> {
+        std::optional<Datagram> d = TryPop();
+        if (d.has_value() || depleted()) return d;
+        return std::nullopt;
+      },
+      deadline);
+  if (got.has_value()) return *std::move(got);
+  return std::nullopt;
 }
 
 std::optional<Datagram> DatagramQueue::TryPop() {
@@ -325,16 +271,16 @@ void DatagramQueue::WatchRecv(const WaitSet& set, WaitSet::Token token) {
 void DatagramQueue::Close() {
   MutexLock lock(mu);
   closed = true;
-  cv.NotifyAll();
   watch.SignalReady();
 }
 
 }  // namespace internal
 
-Status StreamSocket::RecvExact(std::span<std::uint8_t> out) {
+Status StreamSocket::RecvExact(std::span<std::uint8_t> out,
+                               TimePoint deadline) {
   std::size_t got = 0;
   while (got < out.size()) {
-    COOL_ASSIGN_OR_RETURN(std::size_t n, Recv(out.subspan(got)));
+    COOL_ASSIGN_OR_RETURN(std::size_t n, rx_->Read(out.subspan(got), deadline));
     got += n;
   }
   return Status::Ok();
@@ -352,25 +298,8 @@ DatagramPort::~DatagramPort() {
 
 Status DatagramPort::SendTo(const Address& dst,
                             std::span<const std::uint8_t> payload) {
-  // Kept separate from SendToV: this runs per fragment on the dacapo data
-  // path, and the single-span case needs no gather loop.
-  const LinkProperties link = net_->LinkBetween(addr_.host, dst.host);
-  if (payload.size() > link.mtu) {
-    return InvalidArgumentError("datagram exceeds link MTU");
-  }
-
-  TimePoint send_done;
-  {
-    MutexLock lock(tx_mu_);
-    const TimePoint start = std::max(Now(), link_free_at_);
-    send_done = start + link.SerializationDelay(payload.size());
-    link_free_at_ = send_done;
-  }
-  PreciseSleep(send_done - Now());
-
-  return net_->RouteDatagram(
-      addr_, dst, std::vector<std::uint8_t>(payload.begin(), payload.end()),
-      send_done + link.latency);
+  const std::span<const std::uint8_t> one[] = {payload};
+  return SendToV(dst, one);
 }
 
 Status DatagramPort::SendToV(

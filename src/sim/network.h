@@ -50,34 +50,23 @@ class StreamPipe {
   StreamPipe(LinkProperties link, std::size_t window_bytes)
       : link_(link), window_bytes_(window_bytes) {}
 
-  // Paces the caller to the link bandwidth, then enqueues the bytes with
-  // delivery time now+latency. Blocks while the receive window is full.
-  // Fails with kUnavailable once the pipe is closed.
-  Status Write(std::span<const std::uint8_t> data);
-
-  // Gathered write: the concatenation of `parts` is paced and enqueued as
-  // one chunk — a writev for the simulated stream. The reader cannot tell
-  // it apart from Write(join(parts)).
+  // Blocking TryWriteV (a writev): waits while the window is full, then
+  // sleeps out the reserved serialization slot, pacing the caller.
   Status WriteV(std::span<const std::span<const std::uint8_t>> parts);
 
-  // Non-blocking WriteV for reactor callers: reserves the link slot and
-  // enqueues at once, the last octet due when WriteV would make it
-  // (send_done + latency), so the reader sees the same pacing. On a paced
-  // link each part becomes readable as its own serialization completes.
-  // While the receive window is full it writes nothing and returns false;
-  // the write watcher fires once the reader frees space. kUnavailable once
-  // closed.
+  // Non-blocking gathered write: reserves the link slot and enqueues at
+  // once, each part readable when its own serialization completes (plus
+  // latency). While the receive window is full it writes nothing and
+  // returns false; the write watcher fires once the reader frees space.
+  // kUnavailable once closed.
   Result<bool> TryWriteV(std::span<const std::span<const std::uint8_t>> parts);
 
   // True when TryWriteV would accept a write (or fail: the pipe closed).
   bool Writable();
 
-  // Blocks until at least one ready octet is available (or the pipe is
-  // closed and drained -> kUnavailable; or `deadline` passes ->
-  // kDeadlineExceeded). Returns the number of octets copied, up to
-  // out.size().
-  Result<std::size_t> Read(std::span<std::uint8_t> out,
-                           std::optional<TimePoint> deadline = std::nullopt);
+  // Blocking TryRead: at least one octet, kUnavailable once closed and
+  // drained, kDeadlineExceeded when `deadline` passes.
+  Result<std::size_t> Read(std::span<std::uint8_t> out, TimePoint deadline);
 
   // Non-blocking read: copies any deliverable octets and returns the count
   // (0 when nothing is due yet — a watcher is re-armed for the head chunk's
@@ -100,6 +89,10 @@ class StreamPipe {
   void EnqueueLocked(std::span<const std::span<const std::uint8_t>> parts,
                      std::size_t total, TimePoint deliver_at)
       COOL_REQUIRES(mu_);
+  // The one enqueue path: the reserved slot's end, nothing while the
+  // window is full, kUnavailable once closed.
+  std::optional<Result<TimePoint>> ReserveAndEnqueue(
+      std::span<const std::span<const std::uint8_t>> parts);
 
   struct Chunk {
     TimePoint ready;
@@ -134,8 +127,6 @@ class StreamPipe {
   const std::size_t window_bytes_;
 
   Mutex mu_{LockRank::kSimNetwork, "sim::StreamPipe::mu_"};
-  CondVar readable_;
-  CondVar writable_;
   Watchable read_watch_;   // internally synchronised
   Watchable write_watch_;  // internally synchronised
   // In-flight chunk FIFO as vector + head index rather than std::deque: a
@@ -148,7 +139,7 @@ class StreamPipe {
   std::vector<std::vector<std::uint8_t>> spare_ COOL_GUARDED_BY(mu_);
   std::size_t buffered_bytes_ COOL_GUARDED_BY(mu_) = 0;
   TimePoint link_free_at_ COOL_GUARDED_BY(mu_){};
-  // A TryWriteV was refused: the next drain that opens the window signals
+  // A write was refused: the next drain that opens the window signals
   // write_watch_ (once — readers do not pay a post per read otherwise).
   bool write_refused_ COOL_GUARDED_BY(mu_) = false;
   bool closed_ COOL_GUARDED_BY(mu_) = false;
@@ -158,14 +149,14 @@ class StreamPipe {
 // Connect never dereferences a destroyed listener.
 struct AcceptQueue {
   Mutex mu{LockRank::kSimNetwork, "sim::AcceptQueue::mu"};
-  CondVar cv;
   Watchable watch;  // internally synchronised
   std::deque<std::unique_ptr<StreamSocket>> pending COOL_GUARDED_BY(mu);
   bool closed COOL_GUARDED_BY(mu) = false;
 
   void Enqueue(std::unique_ptr<StreamSocket> socket);
-  Result<std::unique_ptr<StreamSocket>> Pop();
-  Result<std::unique_ptr<StreamSocket>> PopFor(Duration timeout);
+  // Blocking TryPop: kUnavailable once closed, kDeadlineExceeded when
+  // `deadline` passes.
+  Result<std::unique_ptr<StreamSocket>> Pop(TimePoint deadline);
   // Non-blocking accept: a null socket (no error) means nothing pending.
   Result<std::unique_ptr<StreamSocket>> TryPop();
   void WatchAccept(const WaitSet& set, WaitSet::Token token);
@@ -184,7 +175,6 @@ struct TimedDatagram {
 // Shared receive queue of a datagram port (same lifetime rationale).
 struct DatagramQueue {
   mutable Mutex mu{LockRank::kSimNetwork, "sim::DatagramQueue::mu"};
-  CondVar cv;
   Watchable watch;  // internally synchronised
   std::priority_queue<TimedDatagram, std::vector<TimedDatagram>,
                       std::greater<>>
@@ -194,10 +184,9 @@ struct DatagramQueue {
 
   void Deliver(TimePoint ready, Address from,
                std::vector<std::uint8_t> payload);
-  // Blocks until the earliest datagram is deliverable; nullopt when closed
-  // (Pop) or when the deadline passes first (PopFor).
-  std::optional<Datagram> Pop();
-  std::optional<Datagram> PopFor(Duration timeout);
+  // Blocking TryPop: nullopt once closed and drained, or when `deadline`
+  // passes first.
+  std::optional<Datagram> Pop(TimePoint deadline);
   // Non-blocking: nullopt when nothing is deliverable yet (a watcher is
   // re-armed for the head datagram's arrival) — check depleted() to tell
   // "not yet" from "closed and drained".
@@ -225,7 +214,10 @@ class StreamSocket {
   StreamSocket(const StreamSocket&) = delete;
   StreamSocket& operator=(const StreamSocket&) = delete;
 
-  Status Send(std::span<const std::uint8_t> data) { return tx_->Write(data); }
+  Status Send(std::span<const std::uint8_t> data) {
+    const std::span<const std::uint8_t> one[] = {data};
+    return tx_->WriteV(one);
+  }
 
   // Gathered send (writev): `parts` leave as one contiguous write.
   Status SendV(std::span<const std::span<const std::uint8_t>> parts) {
@@ -244,7 +236,7 @@ class StreamSocket {
 
   // Reads up to out.size() octets; blocks for at least one.
   Result<std::size_t> Recv(std::span<std::uint8_t> out) {
-    return rx_->Read(out);
+    return rx_->Read(out, TimePoint::max());
   }
 
   // As Recv, but gives up with kDeadlineExceeded after `timeout`.
@@ -252,8 +244,10 @@ class StreamSocket {
     return rx_->Read(out, DeadlineFor(timeout));
   }
 
-  // Reads exactly out.size() octets or fails.
-  Status RecvExact(std::span<std::uint8_t> out);
+  // Reads exactly out.size() octets or fails (kDeadlineExceeded once
+  // `deadline` passes).
+  Status RecvExact(std::span<std::uint8_t> out,
+                   TimePoint deadline = TimePoint::max());
 
   // Non-blocking read: 0 (no error) when nothing is deliverable yet;
   // kUnavailable once the peer closed and the stream is drained.
@@ -294,9 +288,11 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   // Blocks until a peer connects or the listener is closed (kUnavailable).
-  Result<std::unique_ptr<StreamSocket>> Accept() { return queue_->Pop(); }
+  Result<std::unique_ptr<StreamSocket>> Accept() {
+    return queue_->Pop(TimePoint::max());
+  }
   Result<std::unique_ptr<StreamSocket>> AcceptFor(Duration timeout) {
-    return queue_->PopFor(timeout);
+    return queue_->Pop(DeadlineFor(timeout));
   }
 
   // Non-blocking accept: a null socket (no error) means nothing pending.
@@ -341,9 +337,9 @@ class DatagramPort {
                  std::span<const std::span<const std::uint8_t>> parts);
 
   // Blocks until a datagram is deliverable or the port is closed.
-  std::optional<Datagram> Recv() { return queue_->Pop(); }
+  std::optional<Datagram> Recv() { return queue_->Pop(TimePoint::max()); }
   std::optional<Datagram> RecvFor(Duration timeout) {
-    return queue_->PopFor(timeout);
+    return queue_->Pop(DeadlineFor(timeout));
   }
 
   // Non-blocking: nullopt when nothing is deliverable yet; depleted()

@@ -6,14 +6,16 @@ namespace cool::sim {
 
 namespace internal {
 
-void WaitSetCore::Post(std::uint64_t token, TimePoint when) {
+bool WaitSetCore::Post(std::uint64_t token, TimePoint when) {
   MutexLock lock(mu);
-  if (closed || tokens.find(token) == tokens.end()) return;
+  if (closed) return false;
+  if (tokens.find(token) == tokens.end()) return true;
   entries.push(Entry{when, next_seq++, token});
   if (!notify_pending) {
     notify_pending = true;
     cv.NotifyOne();  // under the lock: destruction-safe
   }
+  return true;
 }
 
 }  // namespace internal
@@ -93,13 +95,6 @@ void Watchable::Watch(const WaitSet& set, WaitSet::Token token) {
   core->Post(token, TimePoint::min());  // probe: harvest pre-attach state
 }
 
-void Watchable::Unwatch() {
-  MutexLock lock(mu_);
-  armed_.store(false, std::memory_order_release);
-  core_.reset();
-  token_ = 0;
-}
-
 void Watchable::SignalReadySlow(TimePoint when) {
   std::shared_ptr<internal::WaitSetCore> core;
   WaitSet::Token token = 0;
@@ -108,12 +103,25 @@ void Watchable::SignalReadySlow(TimePoint when) {
     core = core_;
     token = token_;
   }
-  if (core != nullptr) core->Post(token, when);
+  if (core == nullptr || core->Post(token, when)) return;
+  // The set closed (a blocking call returned, or its owner went away):
+  // detach, unless a newer Watch() has replaced it meanwhile.
+  MutexLock lock(mu_);
+  if (core_ != core) return;
+  armed_.store(false, std::memory_order_release);
+  core_.reset();
+  token_ = 0;
 }
 
 bool Watchable::watched() const {
-  MutexLock lock(mu_);
-  return core_ != nullptr;
+  std::shared_ptr<internal::WaitSetCore> core;
+  {
+    MutexLock lock(mu_);
+    core = core_;
+  }
+  if (core == nullptr) return false;
+  MutexLock lock(core->mu);
+  return !core->closed;
 }
 
 }  // namespace cool::sim

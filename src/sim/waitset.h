@@ -12,12 +12,16 @@
 // — only among already-due entries when Wait() harvests them.
 //
 // Lifetimes: the shared core keeps either side safe if the other goes away
-// first. Destroying a WaitSet with sources still attached is fine (their
-// signals become no-ops); destroying a source with the WaitSet still
-// watching is fine too (its token just never fires again). One watcher per
-// Watchable: attaching to a second WaitSet replaces the first.
+// first. Closing or destroying a WaitSet detaches its sources: each drops
+// the attachment at its next signal, after which signalling costs one
+// atomic load again. Destroying a source with the WaitSet still watching
+// is fine too (its token never fires again). One watcher per Watchable:
+// attaching to a second WaitSet replaces the first. So a source is driven
+// either by one reactor registration or by blocking calls (AwaitReady,
+// below), never both at once.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -64,8 +68,9 @@ struct WaitSetCore {
   bool notify_pending COOL_GUARDED_BY(mu) = false;
 
   // Queues a readiness entry for `token`, due at `when`. No-op for tokens
-  // that are not (or no longer) registered, and after Close().
-  void Post(std::uint64_t token, TimePoint when);
+  // that are not (or no longer) registered, and after Close(). Returns
+  // false once the set is closed.
+  bool Post(std::uint64_t token, TimePoint when);
 };
 
 }  // namespace internal
@@ -138,9 +143,6 @@ class Watchable {
   // for data that is not deliverable yet).
   void Watch(const WaitSet& set, WaitSet::Token token);
 
-  // Detaches; later SignalReady calls become no-ops.
-  void Unwatch();
-
   // Posts a readiness entry due at `when`. Safe to call with the source's
   // own mutex held: the core is signalled via a copied reference, never
   // through a lock chained to the caller's. Unwatched sources pay one
@@ -153,9 +155,11 @@ class Watchable {
   }
   void SignalReady() { SignalReady(TimePoint::min()); }
 
+  // True while attached to a WaitSet that is still open.
   bool watched() const;
 
  private:
+  // Posts to the attached set; detaches when that set has closed.
   void SignalReadySlow(TimePoint when);
 
   mutable Mutex mu_{LockRank::kWaitSet, "sim::Watchable::mu_"};
@@ -163,5 +167,34 @@ class Watchable {
   std::shared_ptr<internal::WaitSetCore> core_ COOL_GUARDED_BY(mu_);
   WaitSet::Token token_ COOL_GUARDED_BY(mu_) = 0;
 };
+
+// The blocking twin of a non-blocking call. `try_step` returns a
+// std::optional: the call's result (data, or an error such as "closed"),
+// empty while the source is not ready. AwaitReady returns the first
+// result. Only if the first try is empty does it build a WaitSet on this
+// stack, attach the source with `attach(set, token)` (its WatchX, or a
+// channel's RegisterRx; false = not watchable) and retry at each signal
+// until `deadline` (TimePoint::max() = forever). Empty on the deadline or
+// a refused attach. Waits go through WaitSet::Wait, so the detector's
+// blocking guard applies, and nest; the set closes on return, detaching
+// the source. One blocking caller per source at a time: a second attach
+// displaces the first, so callers that share a source serialize.
+template <typename Attach, typename TryStep>
+auto AwaitReady(Attach&& attach, TryStep&& try_step, TimePoint deadline)
+    -> decltype(try_step()) {
+  if (auto ready = try_step()) return ready;
+  constexpr WaitSet::Token kToken = 1;
+  WaitSet set;
+  set.Add(kToken);
+  if (!attach(set, kToken)) return {};
+  std::array<WaitSet::ReadyEvent, 1> events;
+  for (;;) {
+    // The attach probe makes the first wait return at once, so a source
+    // that turned ready before it was watched is retried immediately.
+    set.Wait(events, deadline - Now());
+    if (auto ready = try_step()) return ready;
+    if (Now() >= deadline) return {};
+  }
+}
 
 }  // namespace cool::sim

@@ -19,6 +19,28 @@ Status ComChannel::SendMessageV(
   return SendMessage(joined.view());
 }
 
+Result<ByteBuffer> ComChannel::ReceiveMessage(Duration timeout) {
+  MutexLock lock(receive_mu_);
+  bool watchable = true;
+  std::optional<Result<ByteBuffer>> got = sim::AwaitReady(
+      [&](const sim::WaitSet& set, sim::WaitSet::Token token) {
+        return watchable = RegisterRx(set, token);
+      },
+      [this]() -> std::optional<Result<ByteBuffer>> {
+        Result<std::optional<ByteBuffer>> next = TryReceiveMessage();
+        if (!next.ok()) return Result<ByteBuffer>(next.status());
+        if (!next->has_value()) return std::nullopt;
+        return Result<ByteBuffer>(std::move(**next));
+      },
+      DeadlineFor(timeout));
+  if (got.has_value()) return *std::move(got);
+  if (!watchable) {
+    return Status(UnsupportedError(std::string(protocol()) +
+                                   " transport has no receive readiness"));
+  }
+  return Status(DeadlineExceededError("receive timed out"));
+}
+
 void ComChannel::DrainAsync() {
   std::vector<Thread> threads;
   {
@@ -105,6 +127,22 @@ Status ComChannel::SetQoSParameter(const qos::QoSSpec& spec) {
 
 qos::Capability ComChannel::TransportCapability() const {
   return qos::Capability::BestEffortOnly();
+}
+
+Result<std::unique_ptr<ComChannel>> ComManager::AcceptChannel() {
+  std::optional<Result<std::unique_ptr<ComChannel>>> got = sim::AwaitReady(
+      [this](const sim::WaitSet& set, sim::WaitSet::Token token) {
+        return RegisterAccept(set, token);
+      },
+      [this]() -> std::optional<Result<std::unique_ptr<ComChannel>>> {
+        Result<std::unique_ptr<ComChannel>> next = TryAcceptChannel();
+        if (next.ok() && *next == nullptr) return std::nullopt;
+        return next;
+      },
+      TimePoint::max());
+  if (got.has_value()) return *std::move(got);
+  return Status(UnsupportedError(std::string(protocol()) +
+                                 " transport has no accept readiness"));
 }
 
 }  // namespace cool::transport

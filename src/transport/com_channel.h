@@ -6,10 +6,11 @@
 //
 // The six invocation-support methods of the paper's `_DacapoComChannel`
 // (call / send / reply / defer / notify / cancel) are provided here for
-// every transport, implemented over the two message-pipe primitives each
-// transport supplies (SendMessage / ReceiveMessage). True multiplexing of
-// interleaved requests is the message layer's job (GIOP request_id); a
-// channel carries one conversation.
+// every transport, implemented over the message-pipe primitives each
+// transport supplies (SendMessage, and the non-blocking TryReceiveMessage
+// + RegisterRx pair that the blocking ReceiveMessage is built from). True
+// multiplexing of interleaved requests is the message layer's job (GIOP
+// request_id); a channel carries one conversation.
 //
 // `SetQoSParameter` is the message-layer -> transport-layer interface of
 // paper §4.3: "the abstract class defining the generic transport protocol
@@ -50,8 +51,13 @@ class ComChannel {
 
   // --- message pipe primitives (implemented by each transport) -----------
   virtual Status SendMessage(std::span<const std::uint8_t> message) = 0;
-  virtual Result<ByteBuffer> ReceiveMessage(Duration timeout) = 0;
   virtual void Close() = 0;
+
+  // Blocking TryReceiveMessage, woken by RegisterRx (kUnsupported when it
+  // refuses). Blocking receivers take turns, and the channel must not be
+  // registered with a reactor meanwhile: a readiness source has one
+  // watcher. Virtual only so a wrapper can instrument it.
+  virtual Result<ByteBuffer> ReceiveMessage(Duration timeout);
 
   // --- reactor seams (non-blocking receive path) ---------------------------
   // Non-blocking receive: nullopt when no complete message is available
@@ -59,9 +65,7 @@ class ComChannel {
   // reactor drain contract: after a readiness callback, loop until nullopt
   // (signals are edge-ish — one signal may cover several messages). The
   // base returns kUnsupported; transports opt in by overriding BOTH this
-  // and RegisterRx. (Deliberately NOT defaulted to ReceiveMessage(0): a
-  // zero-timeout blocking receive reports kDeadlineExceeded without pulling
-  // ready bytes on some transports, which would break the drain contract.)
+  // and RegisterRx.
   virtual Result<std::optional<ByteBuffer>> TryReceiveMessage() {
     return Status(
         UnsupportedError(std::string(protocol()) +
@@ -133,6 +137,9 @@ class ComChannel {
   // take the transport-level locks underneath.
   Mutex call_mu_{LockRank::kChannel, "transport::ComChannel::call_mu_"};  // serializes two-way conversations
   Mutex async_mu_{LockRank::kChannel, "transport::ComChannel::async_mu_"};
+  // Held across a blocking ReceiveMessage: one blocking receiver at a time.
+  Mutex receive_mu_ COOL_ACQUIRED_AFTER(call_mu_) {
+      LockRank::kChannel, "transport::ComChannel::receive_mu_"};
 
  private:
   std::vector<Thread> notify_threads_ COOL_GUARDED_BY(async_mu_);
@@ -160,8 +167,9 @@ class ComManager {
   virtual Result<std::unique_ptr<ComChannel>> OpenChannel(
       const sim::Address& remote, const qos::QoSSpec& qos) = 0;
 
-  // Passive open; blocks until a peer connects or the manager closes.
-  virtual Result<std::unique_ptr<ComChannel>> AcceptChannel() = 0;
+  // Passive open: blocking TryAcceptChannel, woken by RegisterAccept. One
+  // blocking acceptor at a time, and not while a reactor watches it.
+  Result<std::unique_ptr<ComChannel>> AcceptChannel();
 
   // Non-blocking accept: a null channel (no error) when nothing is pending,
   // kUnavailable once closed. Same drain contract as TryReceiveMessage.

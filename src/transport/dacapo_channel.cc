@@ -135,20 +135,6 @@ Status DacapoComChannel::SendMessageV(
       });
 }
 
-Result<ByteBuffer> DacapoComChannel::ReceiveMessage(Duration timeout) {
-  const TimePoint deadline = DeadlineFor(timeout);
-  MutexLock lock(rx_mu_);
-  for (;;) {
-    // A timeout mid-message is harmless: the fragments received so far
-    // stay in rx_partial_ and the next receive continues the message.
-    COOL_ASSIGN_OR_RETURN(dacapo::ReceivedMessage fragment,
-                          session_->ReceivePacket(deadline - Now()));
-    COOL_ASSIGN_OR_RETURN(std::optional<ByteBuffer> done,
-                          ConsumeFragmentLocked(fragment));
-    if (done.has_value()) return std::move(*done);
-  }
-}
-
 Result<std::optional<ByteBuffer>> DacapoComChannel::TryReceiveMessage() {
   MutexLock lock(rx_mu_);
   for (;;) {
@@ -280,13 +266,6 @@ Result<std::unique_ptr<ComChannel>> DacapoComManager::OpenChannel(
                         connector.Connect(remote, options));
   return std::unique_ptr<ComChannel>(std::make_unique<DacapoComChannel>(
       std::move(session), estimate_, qos));
-}
-
-Result<std::unique_ptr<ComChannel>> DacapoComManager::AcceptChannel() {
-  COOL_ASSIGN_OR_RETURN(std::unique_ptr<dacapo::Session> session,
-                        acceptor_.Accept(dacapo::AppAModule::DeliveryMode::kQueue));
-  return std::unique_ptr<ComChannel>(std::make_unique<DacapoComChannel>(
-      std::move(session), estimate_, qos::QoSSpec{}));
 }
 
 Result<std::unique_ptr<ComChannel>> DacapoComManager::TryAcceptChannel() {

@@ -43,7 +43,6 @@ class DacapoComChannel : public ComChannel {
   // part boundaries inside a packet — no joined staging buffer.
   Status SendMessageV(
       std::span<const std::span<const std::uint8_t>> parts) override;
-  Result<ByteBuffer> ReceiveMessage(Duration timeout) override;
   Result<std::optional<ByteBuffer>> TryReceiveMessage() override;
   bool RegisterRx(const sim::WaitSet& set, std::uint64_t token) override;
   void Close() override;
@@ -85,10 +84,10 @@ class DacapoComChannel : public ComChannel {
   // tx keeps the fragments of one message contiguous on the session.
   Mutex tx_mu_ COOL_ACQUIRED_AFTER(call_mu_, async_mu_) {
       LockRank::kChannel, "transport::DacapoComChannel::tx_mu_"};
-  Mutex rx_mu_ COOL_ACQUIRED_AFTER(call_mu_) {
+  Mutex rx_mu_ COOL_ACQUIRED_AFTER(call_mu_, receive_mu_) {
       LockRank::kChannel, "transport::DacapoComChannel::rx_mu_"};
-  // Cross-call reassembly state: a non-blocking receive may return with a
-  // message half-assembled; the next call (blocking or not) continues it.
+  // Cross-call reassembly state: a receive may return with a message
+  // half-assembled; the next call continues it.
   ByteBuffer rx_partial_ COOL_GUARDED_BY(rx_mu_);
   bool rx_partial_active_ COOL_GUARDED_BY(rx_mu_) = false;
 };
@@ -111,7 +110,6 @@ class DacapoComManager : public ComManager {
   // spec -> empty graph over the reliable stream T service).
   Result<std::unique_ptr<ComChannel>> OpenChannel(
       const sim::Address& remote, const qos::QoSSpec& qos) override;
-  Result<std::unique_ptr<ComChannel>> AcceptChannel() override;
   Result<std::unique_ptr<ComChannel>> TryAcceptChannel() override;
   bool RegisterAccept(const sim::WaitSet& set, std::uint64_t token) override;
   void Close() override { acceptor_.Close(); }

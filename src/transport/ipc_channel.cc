@@ -50,23 +50,6 @@ Status IpcComChannel::SendMessageV(
   return port_->SendToV(peer_, parts);
 }
 
-Result<ByteBuffer> IpcComChannel::ReceiveMessage(Duration timeout) {
-  for (;;) {
-    auto dgram = port_->RecvFor(timeout);
-    if (!dgram.has_value()) {
-      // A closed-and-drained port used to read as a timeout here, which
-      // left pollers (the GIOP demux reader) spinning through their full
-      // quantum after Close(); report the close as terminal instead.
-      if (port_->depleted()) {
-        return Status(UnavailableError("IPC channel closed"));
-      }
-      return Status(DeadlineExceededError("IPC receive timed out"));
-    }
-    if (dgram->from != peer_) continue;  // stray datagram: not our peer
-    return ByteBuffer(std::move(dgram->payload));
-  }
-}
-
 Result<std::optional<ByteBuffer>> IpcComChannel::TryReceiveMessage() {
   for (;;) {
     std::optional<sim::Datagram> dgram = port_->TryRecv();
@@ -118,29 +101,6 @@ Result<std::unique_ptr<ComChannel>> IpcComManager::OpenChannel(
   }
   return Status(UnavailableError("IPC handshake failed: " +
                                  remote.ToString() + " not answering"));
-}
-
-Result<std::unique_ptr<ComChannel>> IpcComManager::AcceptChannel() {
-  if (hello_port_ == nullptr) {
-    return Status(FailedPreconditionError("manager is not listening"));
-  }
-  for (;;) {
-    auto dgram = hello_port_->Recv();
-    if (!dgram.has_value()) {
-      return Status(UnavailableError("IPC manager closed"));
-    }
-    auto decoded = DecodeHello(dgram->payload);
-    if (!decoded.ok() || decoded->first != kHello) continue;
-
-    const std::uint16_t channel_port = AllocIpcPort();
-    COOL_ASSIGN_OR_RETURN(std::unique_ptr<sim::DatagramPort> port,
-                          net_->OpenPort({addr_.host, channel_port}));
-    const sim::Address peer{dgram->from.host, decoded->second};
-    COOL_RETURN_IF_ERROR(
-        port->SendTo(peer, EncodeHello(kHelloAck, channel_port)));
-    return std::unique_ptr<ComChannel>(
-        std::make_unique<IpcComChannel>(std::move(port), peer));
-  }
 }
 
 Result<std::unique_ptr<ComChannel>> IpcComManager::TryAcceptChannel() {

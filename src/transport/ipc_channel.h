@@ -23,7 +23,6 @@ class IpcComChannel : public ComChannel {
   // Gathered send: one datagram from many parts, no concatenation here.
   Status SendMessageV(
       std::span<const std::span<const std::uint8_t>> parts) override;
-  Result<ByteBuffer> ReceiveMessage(Duration timeout) override;
   Result<std::optional<ByteBuffer>> TryReceiveMessage() override;
   bool RegisterRx(const sim::WaitSet& set, std::uint64_t token) override;
   void Close() override;
@@ -46,7 +45,6 @@ class IpcComManager : public ComManager {
 
   Result<std::unique_ptr<ComChannel>> OpenChannel(
       const sim::Address& remote, const qos::QoSSpec& qos) override;
-  Result<std::unique_ptr<ComChannel>> AcceptChannel() override;
   Result<std::unique_ptr<ComChannel>> TryAcceptChannel() override;
   bool RegisterAccept(const sim::WaitSet& set, std::uint64_t token) override;
   void Close() override;

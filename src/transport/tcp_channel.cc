@@ -90,29 +90,6 @@ Status TcpComChannel::SendMessageV(
   return socket_->SendV(iov);
 }
 
-Result<ByteBuffer> TcpComChannel::ReceiveMessage(Duration timeout) {
-  const TimePoint deadline = DeadlineFor(timeout);
-  MutexLock lock(rx_mu_);
-  for (;;) {
-    // Deliberately not COOL_ASSIGN_OR_RETURN: moving the optional out of
-    // the Result trips GCC 12's -Wmaybe-uninitialized on the moved-from
-    // buffer's destructor; reading through the Result does not.
-    Result<std::optional<ByteBuffer>> next = rx_buffer_.NextMessage();
-    if (!next.ok()) return next.status();
-    if (next->has_value()) {
-      return std::move(**next);
-    }
-    const Duration remaining = deadline - Now();
-    if (remaining <= Duration::zero()) {
-      return Status(DeadlineExceededError("receive timed out"));
-    }
-    rx_buffer_.ReleaseIfDrained();  // idle across the blocking wait below
-    std::uint8_t chunk[16 * 1024];
-    COOL_ASSIGN_OR_RETURN(std::size_t n, socket_->RecvFor(chunk, remaining));
-    rx_buffer_.Append({chunk, n});
-  }
-}
-
 Result<std::optional<ByteBuffer>> TcpComChannel::TryReceiveMessage() {
   MutexLock lock(rx_mu_);
   for (;;) {
@@ -158,16 +135,6 @@ Result<std::unique_ptr<ComChannel>> TcpComManager::OpenChannel(
   }
   COOL_ASSIGN_OR_RETURN(std::unique_ptr<sim::StreamSocket> socket,
                         net_->Connect(addr_.host, remote));
-  return std::unique_ptr<ComChannel>(
-      std::make_unique<TcpComChannel>(std::move(socket)));
-}
-
-Result<std::unique_ptr<ComChannel>> TcpComManager::AcceptChannel() {
-  if (listener_ == nullptr) {
-    return Status(FailedPreconditionError("manager is not listening"));
-  }
-  COOL_ASSIGN_OR_RETURN(std::unique_ptr<sim::StreamSocket> socket,
-                        listener_->Accept());
   return std::unique_ptr<ComChannel>(
       std::make_unique<TcpComChannel>(std::move(socket)));
 }

@@ -62,7 +62,6 @@ class TcpComChannel : public ComChannel {
   // stream write, so a preamble+args pair costs no concatenation.
   Status SendMessageV(
       std::span<const std::span<const std::uint8_t>> parts) override;
-  Result<ByteBuffer> ReceiveMessage(Duration timeout) override;
   Result<std::optional<ByteBuffer>> TryReceiveMessage() override;
   bool RegisterRx(const sim::WaitSet& set, std::uint64_t token) override;
   void Close() override;
@@ -71,7 +70,7 @@ class TcpComChannel : public ComChannel {
   std::unique_ptr<sim::StreamSocket> socket_;
   Mutex tx_mu_ COOL_ACQUIRED_AFTER(call_mu_, async_mu_) {
       LockRank::kChannel, "transport::TcpComChannel::tx_mu_"};
-  Mutex rx_mu_ COOL_ACQUIRED_AFTER(call_mu_) {
+  Mutex rx_mu_ COOL_ACQUIRED_AFTER(call_mu_, receive_mu_) {
       LockRank::kChannel, "transport::TcpComChannel::rx_mu_"};
   TcpBuffer rx_buffer_ COOL_GUARDED_BY(rx_mu_);
 };
@@ -88,7 +87,6 @@ class TcpComManager : public ComManager {
 
   Result<std::unique_ptr<ComChannel>> OpenChannel(
       const sim::Address& remote, const qos::QoSSpec& qos) override;
-  Result<std::unique_ptr<ComChannel>> AcceptChannel() override;
   Result<std::unique_ptr<ComChannel>> TryAcceptChannel() override;
   bool RegisterAccept(const sim::WaitSet& set, std::uint64_t token) override;
   void Close() override;

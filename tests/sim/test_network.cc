@@ -241,6 +241,44 @@ TEST(NetworkTest, BandwidthPacesThroughput) {
   EXPECT_LT(elapsed, 0.5);
 }
 
+// A blocking gathered write on a paced link reaches the reader part by
+// part: the first part is readable once its own serialization completes,
+// not only when the whole gather has been serialized. The writer is still
+// paced for the whole gather.
+TEST(NetworkTest, WriteVDeliversEachPartAsItsSerializationCompletes) {
+  LinkProperties link;
+  link.bandwidth_bps = 8'000'000;  // 1 MB/s
+  link.latency = Duration::zero();
+  Network net(link);
+  auto listener = net.Listen({"server", 9});
+  ASSERT_TRUE(listener.ok());
+  auto client = net.Connect("client", {"server", 9});
+  ASSERT_TRUE(client.ok());
+  auto server_sock = (*listener)->Accept();
+  ASSERT_TRUE(server_sock.ok());
+
+  const std::vector<std::uint8_t> head(100, 1);        // ~0.1 ms
+  const std::vector<std::uint8_t> tail(200 * 1024, 2);  // ~205 ms
+  TimePoint head_readable{};
+  bool intact = false;
+  cool::Thread reader([&] {
+    std::vector<std::uint8_t> buf(head.size());
+    if (!(*server_sock)->RecvExact(buf).ok()) return;
+    head_readable = Now();
+    std::vector<std::uint8_t> rest(tail.size());
+    intact = buf == head && (*server_sock)->RecvExact(rest).ok() &&
+             rest == tail;
+  });
+  const std::span<const std::uint8_t> parts[] = {head, tail};
+  const TimePoint start = Now();
+  ASSERT_TRUE((*client)->SendV(parts).ok());
+  const Duration send_time = Now() - start;
+  reader.join();
+  EXPECT_TRUE(intact);
+  EXPECT_GT(send_time, milliseconds(150));            // the writer is paced
+  EXPECT_LT(head_readable - start, milliseconds(100));  // the head is not
+}
+
 TEST(NetworkTest, LoopbackIsUnpaced) {
   LinkProperties slow;
   slow.bandwidth_bps = 1000;  // absurdly slow default...

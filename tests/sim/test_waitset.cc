@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <optional>
 #include <thread>
 
 #include "common/thread.h"
@@ -156,9 +158,13 @@ TEST(WaitSetTest, SignalAfterWaitSetDestructionIsSafe) {
     WaitSet set;
     ASSERT_TRUE(set.Add(4));
     source.Watch(set, 4);
+    EXPECT_TRUE(source.watched());
   }
-  source.SignalReady();  // must not touch the dead set
-  EXPECT_TRUE(source.watched());
+  // Must not touch the dead set; the source detaches from it instead.
+  source.SignalReady();
+  EXPECT_FALSE(source.watched());
+  source.SignalReady();
+  EXPECT_FALSE(source.watched());
 }
 
 TEST(WaitSetTest, ReattachReplacesFirstWaitSet) {
@@ -177,6 +183,94 @@ TEST(WaitSetTest, ReattachReplacesFirstWaitSet) {
   ASSERT_EQ(second.Wait(out, milliseconds(200)), 1u);
   EXPECT_EQ(out[0].token, 2u);
   EXPECT_EQ(first.Wait(out, milliseconds(20)), 0u);  // detached: no signal
+}
+
+// --- AwaitReady: the blocking twin of a non-blocking call -------------------
+
+TEST(AwaitReadyTest, ReadySourceIsNeverAttached) {
+  int attaches = 0;
+  const std::optional<int> got = AwaitReady(
+      [&](const WaitSet&, WaitSet::Token) { return ++attaches > 0; },
+      [] { return std::optional<int>(7); }, TimePoint::max());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 7);
+  EXPECT_EQ(attaches, 0);
+}
+
+TEST(AwaitReadyTest, RespectsTheDeadlineAndLeavesTheSourceUnwatched) {
+  Watchable source;
+  int tries = 0;
+  const Stopwatch sw;
+  const std::optional<int> got = AwaitReady(
+      [&](const WaitSet& set, WaitSet::Token token) {
+        source.Watch(set, token);
+        return true;
+      },
+      [&]() -> std::optional<int> {
+        ++tries;
+        return std::nullopt;
+      },
+      Now() + milliseconds(40));
+  EXPECT_FALSE(got.has_value());
+  EXPECT_GE(sw.Elapsed(), milliseconds(40));
+  EXPECT_LT(sw.Elapsed(), seconds(2));
+  // First try, then one retry for the attach probe and one at the
+  // deadline: waiting is not polling.
+  EXPECT_LE(tries, 3);
+  EXPECT_FALSE(source.watched());
+}
+
+TEST(AwaitReadyTest, WakesAtAFutureDueSignal) {
+  Watchable source;
+  const TimePoint due = Now() + milliseconds(50);
+  const std::optional<TimePoint> got = AwaitReady(
+      [&](const WaitSet& set, WaitSet::Token token) {
+        source.Watch(set, token);
+        source.SignalReady(due);  // e.g. a chunk still in flight
+        return true;
+      },
+      [&]() -> std::optional<TimePoint> {
+        const TimePoint now = Now();
+        if (now < due) return std::nullopt;
+        return now;
+      },
+      Now() + seconds(10));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_GE(*got, due);
+  EXPECT_LT(*got, due + seconds(2));  // woken by the signal, not the deadline
+  EXPECT_FALSE(source.watched());
+}
+
+TEST(AwaitReadyTest, CrossThreadSignalEndsTheWait) {
+  Watchable source;
+  std::atomic<bool> ready{false};
+  Thread producer([&](std::stop_token) {
+    std::this_thread::sleep_for(milliseconds(20));
+    ready.store(true);
+    source.SignalReady();
+  });
+  const std::optional<bool> got = AwaitReady(
+      [&](const WaitSet& set, WaitSet::Token token) {
+        source.Watch(set, token);
+        return true;
+      },
+      [&]() -> std::optional<bool> {
+        if (!ready.load()) return std::nullopt;
+        return true;
+      },
+      Now() + seconds(10));
+  producer.join();
+  EXPECT_TRUE(got.has_value());
+  EXPECT_FALSE(source.watched());
+}
+
+TEST(AwaitReadyTest, RefusedAttachReturnsAtOnce) {
+  const Stopwatch sw;
+  const std::optional<int> got = AwaitReady(
+      [](const WaitSet&, WaitSet::Token) { return false; },
+      [] { return std::optional<int>(); }, TimePoint::max());
+  EXPECT_FALSE(got.has_value());
+  EXPECT_LT(sw.Elapsed(), seconds(1));
 }
 
 // --- integration with the simulated network -------------------------------
