@@ -35,13 +35,14 @@ DESIGN.md ("Concurrency model") over src/, tests/, bench/ and examples/:
      spans, or move the ByteBuffer instead. Cold-path exceptions live in
      BUFFER_COPY_ALLOWLIST.
   10. The reactor owns event-driven I/O in src/transport, src/giop,
-     src/orb and src/dacapo: no new thread spawns and no blocking
-     ReceiveMessage call sites outside the allowlisted machinery (the
-     shared dispatch pool, and the documented blocking fallbacks). A
-     connection — Da CaPo chains and signalling planes included — must
-     cost a reactor registration, not a thread; additions go through
-     Reactor::Add or get an allowlist entry with a justification
-     (src/dacapo has none).
+     src/orb, src/dacapo and src/stream: no new thread spawns and no
+     blocking ReceiveMessage call sites outside the allowlisted machinery
+     (the shared dispatch pool, and the documented blocking fallbacks). A
+     connection — Da CaPo chains and signalling planes included — an
+     asynchronous reply and a stream flow must cost a reactor
+     registration, not a thread; additions go through Reactor::Add or get
+     an allowlist entry with a justification (src/dacapo and src/stream
+     have none).
   11. No raw std::condition_variable and no this_thread::sleep_for /
      sleep_until in reactor- or dispatch-callback territory (the rule-10
      directories): reactor callbacks and pool upcalls run to completion on
@@ -497,9 +498,6 @@ BUFFER_COPY_EXEMPT_FILES = {
 BUFFER_COPY_ALLOWLIST = {
     # Servant registration: one copy of the object key at activation time.
     "src/orb/object_adapter.cc": ["name.begin(), name.end()"],
-    # Deferred invocation: the one sanctioned copy that keeps the caller's
-    # args alive for the async worker (see stub.cc InvokeAsync).
-    "src/orb/stub.cc": ["args.begin(), args.end()"],
 }
 
 # Same identifier on both sides of `.begin(), X.end()`.
@@ -534,14 +532,16 @@ def check_no_buffer_copies(path: Path, clean: str,
         )
 
 
-# --- rule 10: reactor-owned I/O in src/transport, src/giop, src/orb and
-# src/dacapo ------------------------------------------------------------------
+# --- rule 10: reactor-owned I/O in src/transport, src/giop, src/orb,
+# src/dacapo and src/stream ---------------------------------------------------
 # The event engine (src/sim/reactor.*) exists so that connections, client
-# bindings and Da CaPo chains cost reactor registrations, not threads. New
-# thread spawns and new blocking-receive call sites in these directories
-# bypass it; each allowed site is a documented exception.
+# bindings, Da CaPo chains, asynchronous replies and stream flows cost
+# reactor registrations, not threads. New thread spawns and new
+# blocking-receive call sites in these directories bypass it; each allowed
+# site is a documented exception.
 
-REACTOR_DIRS = ("src/transport/", "src/giop/", "src/orb/", "src/dacapo/")
+REACTOR_DIRS = ("src/transport/", "src/giop/", "src/orb/", "src/dacapo/",
+                "src/stream/")
 
 # Thread construction from a lambda: the cool::Thread wrapper as a
 # temporary/member init (`Thread([`), a named local (`Thread t([`), or an
@@ -551,10 +551,6 @@ THREAD_SPAWN_RE = re.compile(
 
 THREAD_SPAWN_ALLOWLIST = {
     "src/giop/dispatch_pool.cc": ["WorkerLoop()"],  # the shared pool itself
-    # Asynchronous-reply invocation (paper Fig. 8 "notify"): one short-lived
-    # thread per call runs the blocking Invoke and the user callback, which
-    # may block too — neither may run on a reactor worker.
-    "src/orb/stub.cc": ["async_threads_.emplace_back(["],
 }
 
 # Blocking receive call sites (TryReceiveMessage is the non-blocking
@@ -563,11 +559,9 @@ THREAD_SPAWN_ALLOWLIST = {
 BLOCKING_RECV_RE = re.compile(r"(?<![\w:])ReceiveMessage\s*\(")
 
 BLOCKING_RECV_ALLOWLIST = {
-    # The synchronous convenience API on the ComChannel base (Call,
-    # PollDeferred and Notify's reply wait) — explicitly blocking by
-    # contract.
-    "src/transport/com_channel.cc": ["ReceiveMessage(timeout)",
-                                     "ReceiveMessage(seconds(30))"],
+    # The synchronous convenience API on the ComChannel base (Call and
+    # PollDeferred) — explicitly blocking by contract.
+    "src/transport/com_channel.cc": ["ReceiveMessage(timeout)"],
     # The blocking GiopServer::ServeOne, which drives a server directly
     # over a channel (tests, benches); the ORB feeds HandleFrame instead.
     "src/giop/engine.cc": ["ReceiveMessage(timeout)"],

@@ -129,6 +129,16 @@ class Mailbox {
     return true;
   }
 
+  // Non-blocking PushDown: false, leaving `pkt` with the caller, when the
+  // down queue is full or the mailbox is closed.
+  bool TryPushDown(PacketPtr& pkt, std::size_t origin = 0) {
+    MutexLock lock(mu_);
+    if (closed_ || down_.size() >= down_capacity_) return false;
+    down_.push_back({std::move(pkt), origin});
+    if (!down_gated_) WakeLocked();
+    return true;
+  }
+
   // Batched down push: FIFO, blocking for space as needed, one lock
   // acquisition while the queue has room. Returns false once the mailbox
   // closed (remaining packets are dropped). `pkts` is emptied either way.

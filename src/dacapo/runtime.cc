@@ -84,6 +84,16 @@ bool ModuleChain::InjectDown(PacketPtr pkt) {
   return mailbox_.PushDown(std::move(pkt), 0);
 }
 
+Status ModuleChain::TryInjectDown(PacketPtr& pkt) {
+  if (!modules_.empty() && !stopped_.load() && mailbox_.TryPushDown(pkt, 0)) {
+    return Status::Ok();
+  }
+  if (modules_.empty() || stopped_.load() || mailbox_.closed()) {
+    return UnavailableError("data plane closed");
+  }
+  return ResourceExhaustedError("data plane down queue full");
+}
+
 bool ModuleChain::InjectDownBatch(std::vector<PacketPtr>& pkts) {
   if (modules_.empty() || stopped_.load()) {
     pkts.clear();

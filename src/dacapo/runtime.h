@@ -69,6 +69,9 @@ class ModuleChain {
   // Application-side injection: hands a packet to the top module as
   // down-travelling data. Blocks on backpressure; false once stopped.
   bool InjectDown(PacketPtr pkt);
+  // Non-blocking InjectDown: kResourceExhausted, leaving `pkt` with the
+  // caller, while the down queue is full; kUnavailable once stopped.
+  Status TryInjectDown(PacketPtr& pkt);
   // Train variant: the whole batch enters under one mailbox acquisition
   // and crosses the chain as one burst. Empties `pkts` either way.
   bool InjectDownBatch(std::vector<PacketPtr>& pkts);

@@ -4,6 +4,7 @@
 
 #include "cdr/decoder.h"
 #include "cdr/encoder.h"
+#include "common/deadlock.h"
 #include "common/logging.h"
 #include "dacapo/t_modules.h"
 #include "sim/reactor.h"
@@ -653,8 +654,12 @@ Result<std::unique_ptr<Session>> Acceptor::TryAccept(
   COOL_ASSIGN_OR_RETURN(std::unique_ptr<sim::StreamSocket> signalling,
                         listener_->TryAccept());
   if (signalling == nullptr) return std::unique_ptr<Session>();
-  // A connection is pending: the setup handshake runs inline. It is short
-  // and bounded — the initiator sends CONFIG immediately after connecting.
+  // A connection is pending: the setup handshake runs inline. Bounded by
+  // design: the initiator sends CONFIG immediately after connecting, and
+  // every recv inside carries kHandshakeTimeout — so the reactor accept
+  // callbacks (DacapoComManager, Alt2Server, StreamService) may ride it
+  // out (DESIGN.md §11).
+  deadlock::ScopedBlockingAllowed handshake_is_bounded;
   return Establish(std::move(signalling), delivery);
 }
 

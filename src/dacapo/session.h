@@ -102,33 +102,24 @@ class Session {
   // under arena/chain backpressure.
   template <typename Fill>
   Status SendWith(std::size_t n, Fill&& fill) {
-    if (n > options_.packet_capacity) {
-      return InvalidArgumentError("message exceeds channel packet capacity");
-    }
-    ReaderMutexLock lock(plane_mu_);
-    if (plane_.chain == nullptr || !plane_.chain->started()) {
-      return FailedPreconditionError("session has no active data plane");
-    }
     // Arena exhaustion is transient backpressure: wait for packets in
     // flight to return rather than failing the application call.
     const TimePoint deadline = Now() + seconds(10);
     for (;;) {
-      auto pkt = plane_.tx_cache->Allocate();
-      if (pkt.ok()) {
-        auto out = (*pkt)->WritablePayload(n);
-        if (!out.ok()) return out.status();
-        if (Status s = fill(*out); !s.ok()) return s;
-        if (!plane_.chain->InjectDown(std::move(pkt).value())) {
-          return UnavailableError("data plane closed");
-        }
-        return Status::Ok();
+      Status s = SendAttempt(n, fill, /*wait_for_queue=*/true);
+      if (s.code() != ErrorCode::kResourceExhausted || Now() >= deadline) {
+        return s;
       }
-      if (pkt.status().code() != ErrorCode::kResourceExhausted) {
-        return pkt.status();
-      }
-      if (Now() >= deadline) return pkt.status();
       PreciseSleep(microseconds(200));
     }
+  }
+
+  // One SendWith attempt that never waits, for reactor callbacks:
+  // kResourceExhausted (nothing sent) while the arena has no free packet
+  // or the chain's down queue is full.
+  template <typename Fill>
+  Status TrySendWith(std::size_t n, Fill&& fill) {
+    return SendAttempt(n, fill, /*wait_for_queue=*/false);
   }
 
   // Zero-copy *train* send seam: allocates `count` packets, sized by
@@ -231,6 +222,12 @@ class Session {
     return options_.transport;
   }
 
+  // The session's signalling registration on sim::Reactor::Default().
+  // A registration colocated with it runs on the same worker as the
+  // signalling plane and the module chain, so its callback may Close()
+  // the session without a cross-worker wait.
+  std::uint64_t reactor_id() const noexcept { return signalling_reg_; }
+
   void Close();
 
  private:
@@ -251,6 +248,28 @@ class Session {
           std::unique_ptr<sim::StreamSocket> signalling,
           ChannelOptions options, bool initiator,
           ResourceManager::Reservation reservation);
+
+  // The one allocate/fill/inject body of SendWith and TrySendWith. A full
+  // down queue blocks with `wait_for_queue`, else it is kResourceExhausted.
+  template <typename Fill>
+  Status SendAttempt(std::size_t n, Fill& fill, bool wait_for_queue) {
+    if (n > options_.packet_capacity) {
+      return InvalidArgumentError("message exceeds channel packet capacity");
+    }
+    ReaderMutexLock lock(plane_mu_);
+    if (plane_.chain == nullptr || !plane_.chain->started()) {
+      return FailedPreconditionError("session has no active data plane");
+    }
+    COOL_ASSIGN_OR_RETURN(PacketPtr pkt, plane_.tx_cache->Allocate());
+    COOL_ASSIGN_OR_RETURN(std::span<std::uint8_t> out,
+                          pkt->WritablePayload(n));
+    COOL_RETURN_IF_ERROR(fill(out));
+    if (!wait_for_queue) return plane_.chain->TryInjectDown(pkt);
+    if (!plane_.chain->InjectDown(std::move(pkt))) {
+      return UnavailableError("data plane closed");
+    }
+    return Status::Ok();
+  }
 
   // Builds a chain (A + C... + T) around a ready transport endpoint.
   static Result<DataPlane> BuildPlane(
@@ -350,7 +369,8 @@ class Acceptor {
   // Non-blocking accept: a null session (no error) when no signalling
   // connection is pending, kUnavailable once closed. When a connection IS
   // pending this still runs the (short, bounded) setup handshake inline —
-  // the initiator sends CONFIG immediately after connecting.
+  // the initiator sends CONFIG immediately after connecting — so a
+  // reactor accept callback may call it.
   Result<std::unique_ptr<Session>> TryAccept(
       AppAModule::DeliveryMode delivery = AppAModule::DeliveryMode::kQueue);
 

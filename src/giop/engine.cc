@@ -22,6 +22,26 @@ GiopClient::GiopClient(transport::ComChannel* channel, Options options)
 }
 
 GiopClient::~GiopClient() {
+  if (async_live_.load() != 0) {
+    // Continuations still owed a run: fail the pending ones and let the
+    // demux worker run them all before the engine goes.
+    {
+      MutexLock lock(mu_);
+      for (auto it = pending_.begin(); it != pending_.end();) {
+        it = it->second->then
+                 ? FinishLocked(it, Status(UnavailableError(
+                                        "GIOP client destroyed")))
+                 : std::next(it);
+      }
+    }
+    if (options_.reactor->OnWorkerFor(rx_reg_)) {
+      RunContinuations();
+    } else {
+      options_.reactor->Schedule(rx_reg_);
+      MutexLock lock(mu_);
+      while (async_live_.load() != 0) async_idle_.Wait(mu_);
+    }
+  }
   // Barrier: no demux callback is running once Remove returns (a no-op
   // for id 0, i.e. an engine that never registered).
   options_.reactor->Remove(rx_reg_);
@@ -100,6 +120,16 @@ Result<ParsedMessage> GiopClient::AwaitSlot(corba::ULong id,
   return std::move(slot->outcome);
 }
 
+Result<GiopClient::Reply> GiopClient::ReplyFrom(
+    corba::ULong id, Result<ParsedMessage> outcome) {
+  if (!outcome.ok()) return outcome.status();
+  if (outcome->header.message_type != MsgType::kReply) {
+    return Status(ProtocolError("expected Reply for request " +
+                                std::to_string(id)));
+  }
+  return MakeReply(std::move(outcome).value());
+}
+
 void GiopClient::DrainReactor() {
   // Drain contract: one readiness signal may cover several messages; keep
   // pulling until nothing is pending. On a terminal condition the
@@ -109,11 +139,52 @@ void GiopClient::DrainReactor() {
     Result<std::optional<ByteBuffer>> raw = channel_->TryReceiveMessage();
     if (!raw.ok()) {
       FailPending(raw.status(), /*terminal=*/true);
-      return;
+      break;
     }
-    if (!raw->has_value()) return;  // drained
-    if (HandleFrame(*std::move(*raw))) return;
+    if (!raw->has_value()) break;  // drained
+    if (HandleFrame(*std::move(*raw))) break;
   }
+  // Continuations completed above or by Cancel/the destructor, and
+  // deadlines due (each InvokeAsync schedules this registration at its
+  // own). Synchronous-only traffic pays this one load.
+  if (async_live_.load(std::memory_order_acquire) != 0) RunContinuations();
+}
+
+GiopClient::PendingMap::iterator GiopClient::FinishLocked(
+    PendingMap::iterator it, Result<ParsedMessage> outcome) {
+  Slot& slot = *it->second;
+  slot.outcome = std::move(outcome);
+  slot.done = true;
+  if (!slot.then) return std::next(it);
+  // Nobody collects a continuation slot: it leaves pending_ now.
+  async_deadlines_.erase({slot.deadline, it->first});
+  ready_.push_back({it->first, std::move(it->second)});
+  return pending_.erase(it);
+}
+
+void GiopClient::RunContinuations() {
+  std::vector<PendingCall> ready;
+  {
+    MutexLock lock(mu_);
+    const TimePoint now = Now();
+    while (!async_deadlines_.empty() &&
+           async_deadlines_.begin()->first <= now) {
+      // Completion erases a deadline, so its slot is still pending.
+      const corba::ULong id = async_deadlines_.begin()->second;
+      FinishLocked(pending_.find(id),
+                   Status(DeadlineExceededError(
+                       "no Reply for request " + std::to_string(id))));
+      AbandonLocked(id);  // a late Reply is discarded
+    }
+    ready.swap(ready_);
+  }
+  if (ready.empty()) return;
+  for (PendingCall& call : ready) {
+    call.slot->then(ReplyFrom(call.id, std::move(call.slot->outcome)));
+  }
+  MutexLock lock(mu_);
+  async_live_ -= ready.size();
+  async_idle_.NotifyOne();  // the destructor may wait for zero
 }
 
 bool GiopClient::HandleFrame(ByteBuffer raw) {
@@ -179,18 +250,20 @@ void GiopClient::CompleteRequest(corba::ULong request_id, ParsedMessage msg) {
   }
   Slot& slot = *it->second;
   if (slot.done) return;  // already failed/cancelled; keep that outcome
-  slot.outcome = std::move(msg);
-  slot.done = true;
+  FinishLocked(it, std::move(msg));
   slot.cv.NotifyOne();
 }
 
 void GiopClient::FailPending(const Status& status, bool terminal) {
   MutexLock lock(mu_);
-  for (auto& [id, slot] : pending_) {
-    if (slot->done) continue;
-    slot->outcome = status;
-    slot->done = true;
-    slot->cv.NotifyOne();
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    Slot& slot = *it->second;
+    if (slot.done) {
+      ++it;
+      continue;
+    }
+    it = FinishLocked(it, status);
+    slot.cv.NotifyOne();
   }
   if (terminal) {
     broken_ = status;
@@ -226,18 +299,13 @@ Result<GiopClient::Reply> GiopClient::Invoke(
     std::span<const corba::Octet> args_cdr,
     const std::vector<qos::QoSParameter>& qos_params, Duration timeout) {
   COOL_ASSIGN_OR_RETURN(
-      PendingCall call, StartCall(args_cdr, [&](corba::ULong id) {
+      PendingCall call,
+      StartCall(std::make_shared<Slot>(), args_cdr, [&](corba::ULong id) {
         return BuildRequestHead(object_key, operation, qos_params,
                                 args_cdr.size(), true, id);
       }));
-  COOL_ASSIGN_OR_RETURN(
-      ParsedMessage msg,
-      AwaitSlot(call.id, call.slot, timeout, /*abandon_on_timeout=*/true));
-  if (msg.header.message_type != MsgType::kReply) {
-    return Status(ProtocolError("expected Reply for request " +
-                                std::to_string(call.id)));
-  }
-  return MakeReply(std::move(msg));
+  return ReplyFrom(call.id, AwaitSlot(call.id, call.slot, timeout,
+                                      /*abandon_on_timeout=*/true));
 }
 
 Status GiopClient::InvokeOneway(
@@ -260,10 +328,31 @@ Result<corba::ULong> GiopClient::InvokeDeferred(
     std::span<const corba::Octet> args_cdr,
     const std::vector<qos::QoSParameter>& qos_params) {
   COOL_ASSIGN_OR_RETURN(
-      PendingCall call, StartCall(args_cdr, [&](corba::ULong id) {
+      PendingCall call,
+      StartCall(std::make_shared<Slot>(), args_cdr, [&](corba::ULong id) {
         return BuildRequestHead(object_key, operation, qos_params,
                                 args_cdr.size(), true, id);
       }));
+  return call.id;
+}
+
+Result<corba::ULong> GiopClient::InvokeAsync(
+    const corba::OctetSeq& object_key, const std::string& operation,
+    std::span<const corba::Octet> args_cdr,
+    const std::vector<qos::QoSParameter>& qos_params, Continuation then,
+    Duration timeout) {
+  if (!then) return Status(InvalidArgumentError("no continuation"));
+  auto slot = std::make_shared<Slot>();
+  slot->then = std::move(then);
+  slot->deadline = DeadlineFor(timeout);
+  COOL_ASSIGN_OR_RETURN(
+      PendingCall call,
+      StartCall(std::move(slot), args_cdr, [&](corba::ULong id) {
+        return BuildRequestHead(object_key, operation, qos_params,
+                                args_cdr.size(), true, id);
+      }));
+  // The deadline rides the demux registration's timer.
+  options_.reactor->ScheduleAt(rx_reg_, call.slot->deadline);
   return call.id;
 }
 
@@ -281,33 +370,35 @@ Result<GiopClient::Reply> GiopClient::PollReply(corba::ULong request_id,
       return Status(FailedPreconditionError("no deferred request with id " +
                                             std::to_string(request_id)));
     }
+    if (it->second->then) {
+      return Status(FailedPreconditionError(
+          "request " + std::to_string(request_id) +
+          " completes through its continuation"));
+    }
     slot = it->second;
   }
-  COOL_ASSIGN_OR_RETURN(
-      ParsedMessage msg,
-      AwaitSlot(request_id, slot, timeout, /*abandon_on_timeout=*/false));
-  if (msg.header.message_type != MsgType::kReply) {
-    return Status(ProtocolError("expected Reply for request " +
-                                std::to_string(request_id)));
-  }
-  return MakeReply(std::move(msg));
+  return ReplyFrom(request_id, AwaitSlot(request_id, slot, timeout,
+                                         /*abandon_on_timeout=*/false));
 }
 
 Status GiopClient::Cancel(corba::ULong request_id) {
+  bool continuation = false;
   {
     MutexLock lock(mu_);
     auto it = pending_.find(request_id);
     if (it != pending_.end()) {
       Slot& slot = *it->second;
       if (!slot.done) {
-        slot.outcome = Status(CancelledError("request was cancelled"));
-        slot.done = true;
+        continuation = static_cast<bool>(slot.then);
+        FinishLocked(it, Status(CancelledError("request was cancelled")));
         slot.cv.NotifyOne();
       }
-      pending_.erase(it);
+      pending_.erase(request_id);
     }
     AbandonLocked(request_id);
   }
+  // The continuation runs on the demux worker, not on this stack.
+  if (continuation) options_.reactor->Schedule(rx_reg_);
   CancelRequestHeader header{request_id};
   return SendSerialized(BuildCancelRequest(kGiop10, header, options_.order));
 }
@@ -315,7 +406,8 @@ Status GiopClient::Cancel(corba::ULong request_id) {
 Result<LocateStatus> GiopClient::Locate(const corba::OctetSeq& object_key,
                                         Duration timeout) {
   COOL_ASSIGN_OR_RETURN(
-      PendingCall call, StartCall({}, [&](corba::ULong id) {
+      PendingCall call,
+      StartCall(std::make_shared<Slot>(), {}, [&](corba::ULong id) {
         LocateRequestHeader header;
         header.request_id = id;
         header.object_key = object_key;

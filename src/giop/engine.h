@@ -9,9 +9,10 @@
 //  * GiopClient demultiplexes replies on a Reactor: a callback drains the
 //    channel's non-blocking receive path, so a binding costs a reactor
 //    registration, never a thread. Per-request slots keyed by request id
-//    let Invoke / InvokeDeferred / Locate from any number of caller
-//    threads pipeline over the same connection. No lock is ever held
-//    across blocking I/O (scripts/check_invariants.py rule 8).
+//    let Invoke / InvokeDeferred / InvokeAsync / Locate from any number of
+//    caller threads pipeline over the same connection; an InvokeAsync
+//    slot carries a continuation the demux worker runs. No lock is ever
+//    held across blocking I/O (scripts/check_invariants.py rule 8).
 //  * GiopServer runs dispatcher upcalls on a shared DispatchPool (one per
 //    ORB, via Options.pool), or inline on the receive path when no pool is
 //    given. Replies may return out of order; only the reply *send* is
@@ -26,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -110,9 +112,26 @@ class GiopClient {
   Result<Reply> PollReply(corba::ULong request_id,
                           Duration timeout = seconds(10));
 
+  // Asynchronous reply (paper Fig. 8 "notify"): sends the Request and
+  // returns its id; `then` receives the outcome. Contract: when this
+  // returns OK, `then` runs exactly once — with the Reply, or with the
+  // failure that ended the wait (transport error or CloseConnection,
+  // Cancel -> kCancelled, `timeout` -> kDeadlineExceeded, the engine's
+  // destruction -> kUnavailable). It runs outside the engine's lock on the
+  // reactor worker that carries the demux, never on the caller's stack,
+  // and has run before the destructor returns. It must not block (the
+  // detector's blocking guard covers reactor callbacks) and must not
+  // destroy the engine. On an error return `then` never runs.
+  using Continuation = std::function<void(Result<Reply>)>;
+  Result<corba::ULong> InvokeAsync(
+      const corba::OctetSeq& object_key, const std::string& operation,
+      std::span<const corba::Octet> args_cdr,
+      const std::vector<qos::QoSParameter>& qos_params, Continuation then,
+      Duration timeout = seconds(10));
+
   // Sends CancelRequest and locally abandons the id: a waiting caller is
-  // released with kCancelled, and a late Reply for it is discarded by the
-  // demux.
+  // released with kCancelled (an InvokeAsync continuation runs with it),
+  // and a late Reply for it is discarded by the demux.
   Status Cancel(corba::ULong request_id);
 
   // GIOP object location probe.
@@ -144,11 +163,15 @@ class GiopClient {
  private:
   // One in-flight request awaiting its reply. Fields are guarded by the
   // client's mu_ (not annotatable from a nested type); `cv` has a single
-  // waiter, so completion notifies with NotifyOne.
+  // waiter, so completion notifies with NotifyOne. A continuation slot
+  // (InvokeAsync) has no waiter: completion moves it from pending_ to
+  // ready_, and the demux worker runs `then` with the outcome.
   struct Slot {
     CondVar cv;
     bool done = false;
     Result<ParsedMessage> outcome{Status(InternalError("reply pending"))};
+    Continuation then;
+    TimePoint deadline{};  // continuation slots only
   };
 
   struct PendingCall {
@@ -156,14 +179,15 @@ class GiopClient {
     std::shared_ptr<Slot> slot;
   };
 
-  // Allocates an id + slot, registers the demux if needed, and sends
-  // the message whose preamble `build_head(id)` returns followed by `tail`
-  // (empty for messages built whole, e.g. LocateRequest) as one gathered
-  // write. Fails fast once the connection is known to be broken. Templated
-  // on the builder so the hot path never type-erases it into a heap-backed
-  // std::function.
+  // Allocates an id, publishes `slot` under it, registers the demux if
+  // needed, and sends the message whose preamble `build_head(id)` returns
+  // followed by `tail` (empty for messages built whole, e.g.
+  // LocateRequest) as one gathered write. Fails fast once the connection
+  // is known to be broken. Templated on the builder so the hot path never
+  // type-erases it into a heap-backed std::function.
   template <typename BuildHead>
-  Result<PendingCall> StartCall(std::span<const corba::Octet> tail,
+  Result<PendingCall> StartCall(std::shared_ptr<Slot> slot,
+                                std::span<const corba::Octet> tail,
                                 const BuildHead& build_head);
 
   // Blocks until the slot completes or `deadline` passes. On completion
@@ -173,12 +197,27 @@ class GiopClient {
   Result<ParsedMessage> AwaitSlot(corba::ULong id,
                                   const std::shared_ptr<Slot>& slot,
                                   Duration timeout, bool abandon_on_timeout);
+  // A collected outcome as the Reply of request `id`.
+  static Result<Reply> ReplyFrom(corba::ULong id,
+                                 Result<ParsedMessage> outcome);
 
   // Registers the reply demux on the reactor once; a channel that cannot
   // be watched fails here and marks the connection broken.
   Status EnsureDemuxLocked() COOL_REQUIRES(mu_);
-  // Reactor callback: drains TryReceiveMessage until nothing is pending.
+  // Reactor callback: drains TryReceiveMessage until nothing is pending,
+  // then runs the continuations that became ready.
   void DrainReactor();
+  // Records `outcome` on the slot `it` points at; a continuation slot
+  // moves from pending_ to ready_. Returns the iterator past `it`. The
+  // caller then wakes the slot's waiter, if any (cv.NotifyOne).
+  using PendingMap =
+      std::unordered_map<corba::ULong, std::shared_ptr<Slot>>;
+  PendingMap::iterator FinishLocked(PendingMap::iterator it,
+                                    Result<ParsedMessage> outcome)
+      COOL_REQUIRES(mu_);
+  // Expires overdue continuations, then runs every ready one outside mu_
+  // (on the demux worker).
+  void RunContinuations();
   // Parses and routes one received frame. Returns true when the
   // connection is terminal (demux should stop).
   bool HandleFrame(ByteBuffer raw);
@@ -213,8 +252,16 @@ class GiopClient {
   Mutex send_mu_{LockRank::kEngine, "giop::GiopClient::send_mu_"};
   mutable Mutex mu_{LockRank::kEngine, "giop::GiopClient::mu_"};
   corba::ULong next_request_id_ COOL_GUARDED_BY(mu_) = 1;
-  std::unordered_map<corba::ULong, std::shared_ptr<Slot>> pending_
+  PendingMap pending_ COOL_GUARDED_BY(mu_);
+  // Continuation slots: completed ones awaiting their run on the demux
+  // worker, and the deadlines of those still pending. `async_live_`
+  // counts continuations not yet run (its load is the sync path's only
+  // cost); `async_idle_` wakes the destructor when it reaches zero.
+  std::vector<PendingCall> ready_ COOL_GUARDED_BY(mu_);
+  std::set<std::pair<TimePoint, corba::ULong>> async_deadlines_
       COOL_GUARDED_BY(mu_);
+  std::atomic<std::size_t> async_live_{0};
+  CondVar async_idle_;
   // Abandoned-id memory, allocated on the first cancel/timeout (same
   // rationale as GiopServer::CancelMemory: the empty deque is not free).
   struct AbandonMemory {
@@ -232,21 +279,32 @@ class GiopClient {
 
 template <typename BuildHead>
 Result<GiopClient::PendingCall> GiopClient::StartCall(
-    std::span<const corba::Octet> tail, const BuildHead& build_head) {
+    std::shared_ptr<Slot> slot, std::span<const corba::Octet> tail,
+    const BuildHead& build_head) {
   PendingCall call;
   {
     MutexLock lock(mu_);
     if (!broken_.ok()) return broken_;
     COOL_RETURN_IF_ERROR(EnsureDemuxLocked());
     call.id = next_request_id_++;
-    call.slot = std::make_shared<Slot>();
+    if (slot->then) {
+      async_deadlines_.emplace(slot->deadline, call.id);
+      ++async_live_;
+    }
+    call.slot = std::move(slot);
     pending_.emplace(call.id, call.slot);
   }
   const ByteBuffer head = build_head(call.id);
   const Status sent = SendSerializedV(head, tail);
   if (!sent.ok()) {
     MutexLock lock(mu_);
-    pending_.erase(call.id);
+    // A continuation the demux already completed (the connection broke
+    // meanwhile) will run, so the call counts as started.
+    if (pending_.erase(call.id) == 0 && call.slot->then) return call;
+    if (call.slot->then) {
+      async_deadlines_.erase({call.slot->deadline, call.id});
+      --async_live_;
+    }
     return sent;
   }
   return call;

@@ -1,6 +1,5 @@
 #include "orb/giop_module.h"
 
-#include "common/deadlock.h"
 #include "common/logging.h"
 #include "sim/reactor.h"
 
@@ -162,12 +161,8 @@ void Alt2Server::Shutdown() {
 }
 
 void Alt2Server::DrainAccept() {
-  // Bounded by design: TryAccept runs the setup handshake only for a
-  // connection already pending, the initiator sends CONFIG immediately
-  // after connecting, and every recv inside carries kHandshakeTimeout —
-  // the same bound DacapoComManager::TryAcceptChannel relies on
-  // (DESIGN.md §11).
-  deadlock::ScopedBlockingAllowed handshake_is_bounded;
+  // TryAccept's handshake is bounded, so this reactor callback may run it
+  // (see dacapo::Acceptor::TryAccept).
   for (;;) {
     auto session = acceptor_.TryAccept();
     if (!session.ok() || *session == nullptr) return;  // closed, or drained

@@ -8,15 +8,11 @@ namespace cool::orb {
 Stub::Stub(ORB* orb, ObjectRef ref) : orb_(orb), ref_(std::move(ref)) {}
 
 Stub::~Stub() {
+  // Dropping the binding destroys its GiopClient, which runs every
+  // continuation still owed before it returns.
   (void)Unbind();
-  std::vector<Thread> threads;
-  {
-    MutexLock lock(async_mu_);
-    threads.swap(async_threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  MutexLock lock(mu_);
+  while (colocated_callbacks_ > 0) callbacks_done_.Wait(mu_);
 }
 
 Status Stub::EnsureBoundLocked() {
@@ -123,7 +119,7 @@ Status Stub::Unbind() {
   return Status::Ok();
 }
 
-Result<Stub::ReplyData> Stub::FromGiopReply(giop::GiopClient::Reply reply) const {
+Result<Stub::ReplyData> Stub::FromGiopReply(giop::GiopClient::Reply reply) {
   switch (reply.header.reply_status) {
     case giop::ReplyStatus::kNoException:
     case giop::ReplyStatus::kUserException: {
@@ -239,19 +235,47 @@ Status Stub::CancelRequest(corba::ULong request_id) {
 Status Stub::InvokeAsync(const std::string& operation,
                          std::span<const corba::Octet> args,
                          AsyncCallback callback) {
-  // Capture everything by value; the worker re-enters Invoke, which
-  // snapshots the binding itself. Concurrent async invocations pipeline
-  // over the one channel instead of queueing on the stub lock. This is the
-  // single surviving copy on the async path — the caller's args span dies
-  // when this call returns, but the worker thread outlives it.
-  std::vector<corba::Octet> args_copy(args.begin(), args.end());
-  MutexLock lock(async_mu_);
-  async_threads_.emplace_back([this, operation,
-                               args_copy = std::move(args_copy),
-                               cb = std::move(callback)](std::stop_token) {
-    cb(Invoke(operation, args_copy));
+  COOL_ASSIGN_OR_RETURN(CallContext ctx, PrepareCall());
+  if (ctx.binding == nullptr) {
+    PostColocatedCallback(std::move(callback),
+                          InvokeColocated(operation, args, ctx.qos));
+    return Status::Ok();
+  }
+  // A deferred request whose continuation the reply demux runs on the
+  // ORB's reactor; concurrent async calls pipeline over the one channel.
+  return ctx.binding->client
+      ->InvokeAsync(ref_.object_key, operation, args, ctx.qos,
+                    [cb = std::move(callback)](
+                        Result<giop::GiopClient::Reply> reply) {
+                      if (!reply.ok()) {
+                        cb(reply.status());
+                        return;
+                      }
+                      cb(FromGiopReply(std::move(reply).value()));
+                    })
+      .status();
+}
+
+void Stub::PostColocatedCallback(AsyncCallback callback,
+                                 Result<ReplyData> result) {
+  {
+    MutexLock lock(mu_);
+    ++colocated_callbacks_;
+  }
+  // A one-shot registration that removes itself (no wait on its own
+  // worker). std::function needs a copyable capture, hence the box.
+  sim::Reactor& reactor = orb_->reactor();
+  auto id = std::make_shared<std::uint64_t>(0);
+  auto boxed = std::make_shared<Result<ReplyData>>(std::move(result));
+  *id = reactor.AddManual([this, &reactor, id, boxed,
+                           cb = std::move(callback)] {
+    reactor.Remove(*id);
+    cb(std::move(*boxed));
+    MutexLock lock(mu_);
+    --colocated_callbacks_;
+    callbacks_done_.NotifyOne();  // ~Stub may wait for zero
   });
-  return Status::Ok();
+  reactor.Schedule(*id);
 }
 
 Result<bool> Stub::LocateObject(Duration timeout) {

@@ -13,14 +13,14 @@
 //
 // Invocation modes mirror the paper's Fig. 8 list: synchronous (call),
 // one-way (send), deferred synchronous (defer/poll), asynchronous reply
-// (notify), and cancel.
+// (notify), and cancel. None of them costs a thread: an asynchronous
+// reply is a deferred request whose continuation the reply demux runs.
 #pragma once
 
 #include <functional>
 
 #include "common/buffer_pool.h"
 #include "common/mutex.h"
-#include "common/thread.h"
 #include "giop/engine.h"
 #include "orb/orb.h"
 
@@ -90,7 +90,17 @@ class Stub {
   Result<ReplyData> PollReply(corba::ULong request_id,
                               Duration timeout = seconds(10));
   Status CancelRequest(corba::ULong request_id);
-  // Asynchronous reply: callback runs on an internal thread.
+  // Asynchronous reply: the request is sent before this returns, so `args`
+  // need not outlive the call. Contract: when this returns OK, `callback`
+  // runs exactly once — with the reply, or with the failure that ended
+  // the wait (Unbind or ~Stub: kUnavailable; no reply within 10 s, as
+  // Invoke's default: kDeadlineExceeded). It runs on a reactor worker of
+  // this stub's ORB, never on the caller's stack (a colocated target is
+  // dispatched on the caller's thread, as Invoke does, and only its
+  // callback is posted), and has run before ~Stub returns. It must not
+  // block — the deadlock detector's blocking guard covers reactor
+  // callbacks — and must not destroy the Stub. On an error return the
+  // callback never runs.
   using AsyncCallback = std::function<void(Result<ReplyData>)>;
   Status InvokeAsync(const std::string& operation,
                      std::span<const corba::Octet> args,
@@ -130,10 +140,13 @@ class Stub {
   Status EnsureBoundLocked() COOL_REQUIRES(mu_);
   Result<CallContext> PrepareCall();
   // Takes the Reply by value: the reply frame moves into the ReplyData.
-  Result<ReplyData> FromGiopReply(giop::GiopClient::Reply reply) const;
+  static Result<ReplyData> FromGiopReply(giop::GiopClient::Reply reply);
   Result<ReplyData> InvokeColocated(
       const std::string& operation, std::span<const corba::Octet> args,
       const std::vector<qos::QoSParameter>& qos_params);
+  // Runs `callback(result)` once on a worker of the ORB's reactor.
+  void PostColocatedCallback(AsyncCallback callback,
+                             Result<ReplyData> result);
 
   ORB* orb_;
   ObjectRef ref_;
@@ -144,9 +157,11 @@ class Stub {
   qos::QoSSpec qos_ COOL_GUARDED_BY(mu_);
   bool explicit_binding_ COOL_GUARDED_BY(mu_) = false;
   bool colocated_ COOL_GUARDED_BY(mu_) = false;
-
-  Mutex async_mu_{LockRank::kOrb, "orb::Stub::async_mu_"};
-  std::vector<Thread> async_threads_ COOL_GUARDED_BY(async_mu_);
+  // Colocated async callbacks posted but not yet run; ~Stub waits on
+  // `callbacks_done_` for zero. (A remote binding's continuations belong
+  // to its GiopClient, whose destructor runs them.)
+  int colocated_callbacks_ COOL_GUARDED_BY(mu_) = 0;
+  CondVar callbacks_done_;
 };
 
 }  // namespace cool::orb

@@ -169,7 +169,7 @@ void Reactor::Remove(std::uint64_t id) {
     w.regs.erase(it);
   }
   // On the owning worker `id` cannot be mid-run: the worker is running us.
-  if (ThisThreadId() == w.thread_id) return;
+  if (OnWorkerFor(id)) return;
   while (w.running_id == id) w.idle_cv.Wait(w.mu);
 }
 

@@ -115,6 +115,11 @@ class Reactor {
   unsigned WorkerIndexFor(std::uint64_t id) const noexcept {
     return static_cast<unsigned>(id % workers_.size());
   }
+  // True on the worker thread that runs `id`'s callbacks, where waiting
+  // for one of them would deadlock (Remove's no-wait case).
+  bool OnWorkerFor(std::uint64_t id) const noexcept {
+    return ThisThreadId() == workers_[id % workers_.size()]->thread_id;
+  }
   // Index of the reactor worker the calling thread is, or -1 off-worker.
   // Lets a callback assert it observes a stable worker identity.
   static int CurrentWorkerIndex() noexcept;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "sim/reactor.h"
 
 namespace cool::stream {
 
@@ -57,52 +58,53 @@ Status StreamSource::Start() {
     running_ = false;
     return InvalidArgumentError("frame smaller than its header");
   }
-  thread_ = Thread([this](std::stop_token st) { Run(st); });
+  frame_.resize(spec_.frame_bytes);
+  for (std::size_t i = kFrameHeaderBytes; i < frame_.size(); ++i) {
+    frame_[i] = static_cast<std::uint8_t>(i * 17);
+  }
+  sim::Reactor& reactor = sim::Reactor::Default();
+  reg_ = reactor.AddManual([this] { Tick(); });
+  next_due_ = Now() + spec_.FramePeriod();
+  reactor.ScheduleAt(reg_, next_due_);
   return Status::Ok();
 }
 
 void StreamSource::Stop() {
   if (!running_.exchange(false)) return;
-  thread_.request_stop();
-  if (thread_.joinable()) thread_.join();
+  sim::Reactor::Default().Remove(reg_);  // barrier
 }
 
-void StreamSource::Run(std::stop_token stop) {
-  std::vector<std::uint8_t> frame(spec_.frame_bytes);
-  for (std::size_t i = kFrameHeaderBytes; i < frame.size(); ++i) {
-    frame[i] = static_cast<std::uint8_t>(i * 17);
-  }
+void StreamSource::Tick() {
   const Duration period = spec_.FramePeriod();
-  TimePoint deadline = Now();
-  std::uint32_t seq = 0;
-
-  while (!stop.stop_requested()) {
-    deadline += period;
-    const TimePoint now = Now();
-    if (now < deadline) {
-      PreciseSleep(deadline - now);
-    } else if (now - deadline > period) {
-      // Fell more than a frame behind (backpressure): skip frames rather
-      // than letting the clock drift — a live source cannot buffer the
-      // past.
-      const auto behind = static_cast<std::uint64_t>((now - deadline) /
-                                                     period);
-      frames_skipped_ += behind;
-      seq += static_cast<std::uint32_t>(behind);
-      deadline += period * static_cast<long>(behind);
-    }
-
-    frame[0] = static_cast<std::uint8_t>(seq);
-    frame[1] = static_cast<std::uint8_t>(seq >> 8);
-    frame[2] = static_cast<std::uint8_t>(seq >> 16);
-    frame[3] = static_cast<std::uint8_t>(seq >> 24);
-    ++seq;
-    if (Status s = session_->Send(frame); !s.ok()) {
-      COOL_LOG(kDebug, "stream") << "source send failed: " << s;
-      return;
-    }
-    ++frames_sent_;
+  const TimePoint now = Now();
+  if (now - next_due_ > period) {
+    // Fell more than a frame behind: skip frames rather than letting the
+    // clock drift — a live source cannot buffer the past.
+    const auto behind =
+        static_cast<std::uint64_t>((now - next_due_) / period);
+    frames_skipped_ += behind;
+    next_due_ += period * static_cast<long>(behind);
   }
+  const Status sent = session_->TrySendWith(
+      frame_.size(), [this](std::span<std::uint8_t> out) {
+        std::copy(frame_.begin(), frame_.end(), out.begin());
+        out[0] = static_cast<std::uint8_t>(seq_);
+        out[1] = static_cast<std::uint8_t>(seq_ >> 8);
+        out[2] = static_cast<std::uint8_t>(seq_ >> 16);
+        out[3] = static_cast<std::uint8_t>(seq_ >> 24);
+        return Status::Ok();
+      });
+  if (sent.ok()) {
+    ++seq_;
+    ++frames_sent_;
+  } else if (sent.code() == ErrorCode::kResourceExhausted) {
+    ++frames_skipped_;  // backpressure: this frame is dropped, not queued
+  } else {
+    COOL_LOG(kDebug, "stream") << "source send failed: " << sent;
+    return;  // the session is gone; no further ticks
+  }
+  next_due_ += period;
+  sim::Reactor::Default().ScheduleAt(reg_, next_due_);
 }
 
 // --- StreamSink ----------------------------------------------------------------
@@ -111,26 +113,60 @@ Status StreamSink::Start() {
   if (running_.exchange(true)) {
     return FailedPreconditionError("sink already started");
   }
-  thread_ = Thread([this](std::stop_token st) { Run(st); });
+  // Colocated with the session's signalling plane (and so its chain):
+  // the StopAsync teardown closes the session without a cross-worker wait.
+  Result<std::uint64_t> reg = sim::Reactor::Default().Add(
+      [this](const sim::WaitSet& set, std::uint64_t token) {
+        session_->WatchRx(set, token);
+        return true;
+      },
+      [this] { Drain(); }, session_->reactor_id());
+  if (!reg.ok()) {
+    running_ = false;
+    return reg.status();
+  }
+  reg_ = *reg;
   return Status::Ok();
 }
 
 void StreamSink::Stop() {
   if (!running_.exchange(false)) return;
-  thread_.request_stop();
-  if (thread_.joinable()) thread_.join();
+  sim::Reactor::Default().Remove(reg_);  // barrier
   if (owned_session_ != nullptr) owned_session_->Close();
 }
 
-void StreamSink::Run(std::stop_token stop) {
-  while (!stop.stop_requested()) {
+void StreamSink::StopAsync(std::function<void()> then) {
+  if (!running_.load()) {
+    then();
+    return;
+  }
+  {
+    MutexLock lock(mu_);
+    stop_then_ = std::move(then);
+  }
+  sim::Reactor::Default().Schedule(reg_);
+}
+
+void StreamSink::Drain() {
+  std::function<void()> then;
+  {
+    MutexLock lock(mu_);
+    then = std::move(stop_then_);
+  }
+  if (then) {
+    // StopAsync's teardown, on the worker that owns the session's
+    // registrations: neither removal waits.
+    running_ = false;
+    sim::Reactor::Default().Remove(reg_);
+    if (owned_session_ != nullptr) owned_session_->Close();
+    then();  // may destroy the sink: nothing below touches it
+    return;
+  }
+  for (;;) {
     // Zero-copy receive: the frame is inspected in arena packet memory and
     // released at the end of the iteration; only the counters survive.
-    auto frame = session_->ReceivePacket(milliseconds(100));
-    if (!frame.ok()) {
-      if (frame.status().code() == ErrorCode::kDeadlineExceeded) continue;
-      return;  // session closed
-    }
+    Result<dacapo::ReceivedMessage> frame = session_->TryReceivePacket();
+    if (!frame.ok() || !*frame) return;  // drained, or the session closed
     const auto data = frame->data();
     if (data.size() < kFrameHeaderBytes) continue;
     const std::uint32_t seq = static_cast<std::uint32_t>(data[0]) |

@@ -14,16 +14,21 @@
 //  * StreamSink   — receiver measuring rate, throughput, loss and delay
 //                   jitter (the MULTE QoS dimensions: low latency, high
 //                   throughput, controlled delay jitter).
+//
+// Neither owns a thread: each is one registration on
+// sim::Reactor::Default(), the reactor that also runs the session's
+// module chain and signalling plane.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cdr/decoder.h"
 #include "cdr/encoder.h"
 #include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread.h"
 #include "dacapo/session.h"
 #include "qos/qos.h"
 
@@ -68,13 +73,18 @@ struct FlowStats {
   static Result<FlowStats> DecodeStats(cdr::Decoder& dec);
 };
 
-// Frame wire format: [u32 seq][payload]. Sequence numbers let the sink
-// count loss/reorder independent of the carrying protocol.
+// Frame wire format: [u32 seq][payload]. Sequence numbers count the
+// frames handed to the session, so the sink counts the carrying
+// protocol's loss/reorder, not the source's skips.
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
 // Paced sender: emits `spec.frame_rate_hz` frames per second of
 // `spec.frame_bytes` each over the session. Skips (counts) frames the
-// session cannot absorb in time instead of drifting the clock.
+// session cannot absorb in time instead of drifting the clock. Each frame
+// is a tick of a timer registration (Reactor::ScheduleAt at the frame
+// time) that hands the frame over with one Session::TrySendWith attempt:
+// a tick never blocks its worker, and a frame the session refuses counts
+// in frames_skipped.
 class StreamSource {
  public:
   StreamSource(dacapo::Session* session, FlowSpec spec)
@@ -85,6 +95,7 @@ class StreamSource {
   StreamSource& operator=(const StreamSource&) = delete;
 
   Status Start();
+  // Barrier: no tick runs once Stop returns.
   void Stop();
   bool running() const noexcept { return running_; }
 
@@ -92,17 +103,24 @@ class StreamSource {
   std::uint64_t frames_skipped() const { return frames_skipped_.load(); }
 
  private:
-  void Run(std::stop_token stop);
+  // The timer callback: sends the frame that is due, then re-arms.
+  void Tick();
 
   dacapo::Session* session_;
   FlowSpec spec_;
-  Thread thread_;
   std::atomic<bool> running_{false};
+  std::uint64_t reg_ = 0;  // timer registration, while running
+  // Tick state, touched by Start and then only by the (serial) ticks.
+  std::vector<std::uint8_t> frame_;  // payload template
+  TimePoint next_due_{};
+  std::uint32_t seq_ = 0;
   std::atomic<std::uint64_t> frames_sent_{0};
   std::atomic<std::uint64_t> frames_skipped_{0};
 };
 
 // Receiving end: consumes frames from the session and keeps statistics.
+// It drains TryReceivePacket from a registration on the session's
+// WatchRx, colocated with the session's signalling plane.
 class StreamSink {
  public:
   explicit StreamSink(dacapo::Session* session) : session_(session) {}
@@ -116,19 +134,28 @@ class StreamSink {
   StreamSink& operator=(const StreamSink&) = delete;
 
   Status Start();
+  // Barrier stop, then closes an owned session.
   void Stop();
+  // Stop without waiting, for callers that must not block (dispatch
+  // upcalls): the sink's own registration unregisters itself and closes
+  // an owned session — on the session's worker, where neither waits —
+  // and then calls `then`, which may destroy the sink.
+  void StopAsync(std::function<void()> then);
 
   FlowStats stats() const;
 
  private:
-  void Run(std::stop_token stop);
+  // The registration's callback: runs a StopAsync teardown, or records
+  // every frame received.
+  void Drain();
 
   std::unique_ptr<dacapo::Session> owned_session_;
   dacapo::Session* session_;
-  Thread thread_;
   std::atomic<bool> running_{false};
+  std::uint64_t reg_ = 0;  // registration, while running
 
   mutable Mutex mu_{LockRank::kStream, "stream::StreamSink::mu_"};
+  std::function<void()> stop_then_ COOL_GUARDED_BY(mu_);  // StopAsync's
   std::uint64_t frames_received_ COOL_GUARDED_BY(mu_) = 0;
   std::uint64_t frames_lost_ COOL_GUARDED_BY(mu_) = 0;
   std::uint64_t frames_reordered_ COOL_GUARDED_BY(mu_) = 0;

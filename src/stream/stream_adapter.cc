@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "common/logging.h"
+#include "sim/reactor.h"
 
 namespace cool::stream {
 
@@ -39,18 +40,60 @@ StreamService::StreamService(sim::Network* net, std::string host,
       flow_capability_(std::move(flow_capability)),
       resources_(resources) {}
 
+StreamService::Flow::Flow(StreamService* owner) : service(owner) {
+  MutexLock lock(service->mu_);
+  ++service->live_flows_;
+}
+
+StreamService::Flow::~Flow() {
+  // Counted until its acceptor and session are gone: their ports belong
+  // to the network, which must outlive them.
+  {
+    MutexLock lock(mu);
+    sink.reset();
+  }
+  acceptor.reset();
+  MutexLock lock(service->mu_);
+  --service->live_flows_;
+  service->flows_gone_.NotifyOne();  // the destructor may wait for zero
+}
+
 StreamService::~StreamService() {
   std::map<corba::ULong, std::shared_ptr<Flow>> flows;
   {
     MutexLock lock(mu_);
     flows.swap(flows_);
   }
-  for (auto& [id, flow] : flows) {
-    flow->acceptor->Close();
-    if (flow->accept_thread.joinable()) flow->accept_thread.join();
+  for (auto& [id, flow] : flows) Retire(flow);
+  flows.clear();
+  MutexLock lock(mu_);
+  while (live_flows_ > 0) flows_gone_.Wait(mu_);
+}
+
+void StreamService::AcceptPeer(const std::shared_ptr<Flow>& flow) {
+  auto session =
+      flow->acceptor->TryAccept(dacapo::AppAModule::DeliveryMode::kQueue);
+  if (session.ok() && *session == nullptr) return;  // nothing pending yet
+  // One accept per flow: whatever came, this registration is done.
+  sim::Reactor::Default().Remove(flow->accept_reg);
+  if (!session.ok()) return;  // closed before the peer came, or it failed
+  auto sink = std::make_unique<StreamSink>(std::move(session).value());
+  (void)sink->Start();  // a fresh sink always starts
+  MutexLock lock(flow->mu);
+  flow->sink = std::move(sink);
+  if (flow->closed) flow->sink->StopAsync([flow] {});  // closed meanwhile
+}
+
+void StreamService::Retire(const std::shared_ptr<Flow>& flow) {
+  {
     MutexLock lock(flow->mu);
-    if (flow->sink != nullptr) flow->sink->Stop();
+    flow->closed = true;
+    // The teardown callback holds the flow, and so the sink, until done.
+    if (flow->sink != nullptr) flow->sink->StopAsync([flow] {});
   }
+  flow->acceptor->Close();  // signals a pending accept, which then ends
+  // The budget is free once close_flow returns, not when the flow is gone.
+  flow->reservation.Release();
 }
 
 std::size_t StreamService::active_flows() const {
@@ -123,7 +166,7 @@ orb::DispatchOutcome StreamService::OpenFlow(cdr::Decoder& args,
   }
 
   const std::uint16_t port = AllocFlowPort();
-  auto flow = std::make_shared<Flow>();
+  auto flow = std::make_shared<Flow>(this);
   flow->spec = *spec;
   flow->reservation = std::move(reservation);
   flow->acceptor = std::make_unique<dacapo::Acceptor>(
@@ -132,15 +175,16 @@ orb::DispatchOutcome StreamService::OpenFlow(cdr::Decoder& args,
     return orb::DispatchOutcome::Fail(s);
   }
   // One accept per flow; the sink starts as soon as the peer connects.
-  flow->accept_thread = Thread([flow](std::stop_token) {
-    auto session =
-        flow->acceptor->Accept(dacapo::AppAModule::DeliveryMode::kQueue);
-    if (!session.ok()) return;  // service shut down before the peer came
-    auto sink = std::make_unique<StreamSink>(std::move(session).value());
-    if (!sink->Start().ok()) return;
-    MutexLock lock(flow->mu);
-    flow->sink = std::move(sink);
-  });
+  // The id is published before the attach lets the callback run.
+  sim::Reactor& reactor = sim::Reactor::Default();
+  flow->accept_reg = reactor.AddManual([flow] { AcceptPeer(flow); });
+  if (!reactor.Attach(flow->accept_reg,
+                      [&flow](const sim::WaitSet& set, std::uint64_t token) {
+                        return flow->acceptor->WatchAccept(set, token);
+                      })) {
+    return orb::DispatchOutcome::Fail(
+        UnavailableError("flow acceptor cannot be watched"));
+  }
 
   corba::ULong flow_id = 0;
   {
@@ -188,12 +232,8 @@ orb::DispatchOutcome StreamService::CloseFlow(cdr::Decoder& args,
     flow = it->second;
     flows_.erase(it);
   }
-  flow->acceptor->Close();
-  if (flow->accept_thread.joinable()) flow->accept_thread.join();
-  {
-    MutexLock lock(flow->mu);
-    if (flow->sink != nullptr) flow->sink->Stop();
-  }
+  // A dispatch upcall: hand the teardown over, never wait.
+  Retire(flow);
   return orb::DispatchOutcome::Ok();
 }
 

@@ -8,7 +8,11 @@
 //      close_flow(flow_id)  -> void
 //    Flow QoS is negotiated bilaterally against the service's capability
 //    and admitted against an optional resource manager; accepted flows get
-//    their own Da CaPo acceptor and a measuring StreamSink.
+//    their own Da CaPo acceptor and a measuring StreamSink. A flow costs
+//    reactor registrations, no thread: a one-shot accept registration,
+//    then the sink's. close_flow runs as a dispatch upcall, so it only
+//    hands the flow's teardown to those registrations and never waits;
+//    the service's destructor waits until every flow is gone.
 //
 //  * FlowConnection — the client side: calls open_flow through an ordinary
 //    ORB stub (so the control path benefits from all of the paper's
@@ -21,7 +25,6 @@
 #include <memory>
 
 #include "common/mutex.h"
-#include "common/thread.h"
 #include "dacapo/config_manager.h"
 #include "dacapo/resource_manager.h"
 #include "orb/stub.h"
@@ -53,19 +56,33 @@ class StreamService : public orb::Servant {
   Result<FlowStats> StatsFor(corba::ULong flow_id) const;
 
  private:
+  // Shared by the service's table and the registrations still working
+  // for the flow; the last owner destroys it, and the service counts it.
   struct Flow {
+    explicit Flow(StreamService* owner);
+    ~Flow();
+
+    StreamService* const service;
     FlowSpec spec;
     std::unique_ptr<dacapo::Acceptor> acceptor;
-    Thread accept_thread;
+    // One-shot accept on sim::Reactor::Default(); it unregisters itself
+    // after its one accept (or failure), releasing its hold on the flow.
+    std::uint64_t accept_reg = 0;
     mutable Mutex mu{LockRank::kStream, "stream::StreamService::Flow::mu"};
     std::unique_ptr<StreamSink> sink
         COOL_GUARDED_BY(mu);  // set once the peer connects
+    bool closed COOL_GUARDED_BY(mu) = false;
     dacapo::ResourceManager::Reservation reservation;
   };
 
   orb::DispatchOutcome OpenFlow(cdr::Decoder& args, cdr::Encoder& out);
   orb::DispatchOutcome FlowStatsOp(cdr::Decoder& args, cdr::Encoder& out);
   orb::DispatchOutcome CloseFlow(cdr::Decoder& args, cdr::Encoder& out);
+  // The accept registration's callback.
+  static void AcceptPeer(const std::shared_ptr<Flow>& flow);
+  // Closes a flow without waiting: the sink stops from its own
+  // registration and a pending accept ends when the acceptor closes.
+  static void Retire(const std::shared_ptr<Flow>& flow);
 
   sim::Network* net_;
   std::string host_;
@@ -76,6 +93,10 @@ class StreamService : public orb::Servant {
   mutable Mutex mu_{LockRank::kStream, "stream::StreamService::mu_"};
   corba::ULong next_flow_id_ COOL_GUARDED_BY(mu_) = 1;
   std::map<corba::ULong, std::shared_ptr<Flow>> flows_ COOL_GUARDED_BY(mu_);
+  // Flows not yet destroyed (open or retiring); the destructor waits on
+  // `flows_gone_` for zero, since their sessions hold network ports.
+  std::size_t live_flows_ COOL_GUARDED_BY(mu_) = 0;
+  CondVar flows_gone_;
 };
 
 // Client-side handle of one open flow.

@@ -2,6 +2,7 @@
 
 #include "common/buffer_pool.h"
 #include "common/logging.h"
+#include "sim/reactor.h"
 
 namespace cool::transport {
 
@@ -42,14 +43,14 @@ Result<ByteBuffer> ComChannel::ReceiveMessage(Duration timeout) {
 }
 
 void ComChannel::DrainAsync() {
-  std::vector<Thread> threads;
+  std::uint64_t reg = 0;
   {
     MutexLock lock(async_mu_);
-    threads.swap(notify_threads_);
+    reg = notify_.reg;
   }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  if (reg == 0) return;  // no Notify outstanding
+  sim::Reactor::Default().Remove(reg);  // barrier
+  FinishNotify(Status(UnavailableError("channel destroyed")));
 }
 
 Result<ByteBuffer> ComChannel::Call(std::span<const std::uint8_t> request,
@@ -70,6 +71,11 @@ Status ComChannel::Reply(std::span<const std::uint8_t> reply) {
 Result<ComChannel::Deferred> ComChannel::Defer(
     std::span<const std::uint8_t> request) {
   MutexLock lock(async_mu_);
+  return DeferLocked(request);
+}
+
+Result<ComChannel::Deferred> ComChannel::DeferLocked(
+    std::span<const std::uint8_t> request) {
   if (deferred_outstanding_) {
     // One in-flight deferred conversation per channel; interleaving is the
     // message layer's job (GIOP request_id).
@@ -85,6 +91,10 @@ Result<ByteBuffer> ComChannel::PollDeferred(Deferred handle,
                                             Duration timeout) {
   {
     MutexLock lock(async_mu_);
+    if (notify_.callback && handle.id == notify_.id) {
+      return Status(FailedPreconditionError(
+          "the reply goes to the Notify callback"));
+    }
     if (cancelled_.erase(handle.id) != 0) {
       deferred_outstanding_ = false;
       return Status(CancelledError("deferred request was cancelled"));
@@ -99,15 +109,63 @@ Result<ByteBuffer> ComChannel::PollDeferred(Deferred handle,
   return reply;
 }
 
-Status ComChannel::Notify(std::span<const std::uint8_t> request,
-                          ReplyCallback callback) {
-  COOL_RETURN_IF_ERROR(SendMessage(request));
+Result<ComChannel::Deferred> ComChannel::Notify(
+    std::span<const std::uint8_t> request, ReplyCallback callback) {
   MutexLock lock(async_mu_);
-  notify_threads_.emplace_back(
-      [this, cb = std::move(callback)](std::stop_token) {
-        cb(ReceiveMessage(seconds(30)));
-      });
-  return Status::Ok();
+  COOL_ASSIGN_OR_RETURN(Deferred handle, DeferLocked(request));
+  // The callback cannot run before async_mu_ is released, so notify_ is
+  // complete by the time it looks.
+  sim::Reactor& reactor = sim::Reactor::Default();
+  Result<std::uint64_t> reg = reactor.Add(
+      [this](const sim::WaitSet& set, std::uint64_t token) {
+        return RegisterRx(set, token);
+      },
+      [this] { OnNotifyReady(); });
+  if (!reg.ok()) {
+    deferred_outstanding_ = false;
+    return reg.status();
+  }
+  notify_ = {handle.id, *reg, DeadlineFor(seconds(30)), std::move(callback)};
+  reactor.ScheduleAt(*reg, notify_.deadline);
+  return handle;
+}
+
+void ComChannel::OnNotifyReady() {
+  bool cancelled = false;
+  TimePoint deadline;
+  {
+    MutexLock lock(async_mu_);
+    if (!notify_.callback) return;  // finished already
+    cancelled = cancelled_.erase(notify_.id) != 0;
+    deadline = notify_.deadline;
+  }
+  if (cancelled) {
+    FinishNotify(Status(CancelledError("notify request was cancelled")));
+    return;
+  }
+  // This registration is the channel's only receiver meanwhile.
+  Result<std::optional<ByteBuffer>> next = TryReceiveMessage();
+  if (!next.ok()) {
+    FinishNotify(next.status());
+  } else if (next->has_value()) {
+    FinishNotify(std::move(**next));
+  } else if (Now() >= deadline) {
+    FinishNotify(Status(DeadlineExceededError("no reply to notify")));
+  }
+}
+
+void ComChannel::FinishNotify(Result<ByteBuffer> outcome) {
+  PendingNotify done;
+  {
+    MutexLock lock(async_mu_);
+    if (!notify_.callback) return;  // no notify, or it finished already
+    done = std::move(notify_);
+    notify_ = {};
+    deferred_outstanding_ = false;
+  }
+  // Off the watch before the callback may start the next conversation.
+  sim::Reactor::Default().Remove(done.reg);
+  done.callback(std::move(outcome));
 }
 
 Status ComChannel::Cancel(Deferred handle) {
@@ -116,6 +174,10 @@ Status ComChannel::Cancel(Deferred handle) {
     return FailedPreconditionError("no deferred request outstanding");
   }
   cancelled_.insert(handle.id);
+  // A pending Notify reports the cancel from its registration.
+  if (notify_.callback && handle.id == notify_.id) {
+    sim::Reactor::Default().Schedule(notify_.reg);
+  }
   return Status::Ok();
 }
 

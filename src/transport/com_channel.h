@@ -30,7 +30,6 @@
 #include "common/intrusive_list.h"
 #include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread.h"
 #include "qos/negotiation.h"
 #include "qos/qos.h"
 #include "sim/address.h"
@@ -107,10 +106,16 @@ class ComChannel {
   Result<Deferred> Defer(std::span<const std::uint8_t> request);
   Result<ByteBuffer> PollDeferred(Deferred handle,
                                   Duration timeout = seconds(10));
-  // Asynchronous replies: `callback` runs on an internal thread when the
-  // reply (or a transport error) arrives.
+  // Asynchronous reply: Defer with a callback, under Defer's one-
+  // outstanding rule. The reply wait is a one-shot registration on
+  // sim::Reactor::Default() over RegisterRx (kUnsupported when it
+  // refuses). `callback` runs once on that reactor's worker with the
+  // reply, a transport error (kUnavailable after Close), kCancelled, or
+  // kDeadlineExceeded after 30 s; it must not block. A channel destroyed
+  // with the reply still owed runs it inline with kUnavailable.
   using ReplyCallback = std::function<void(Result<ByteBuffer>)>;
-  Status Notify(std::span<const std::uint8_t> request, ReplyCallback callback);
+  Result<Deferred> Notify(std::span<const std::uint8_t> request,
+                          ReplyCallback callback);
   // Terminates the wait for an asynchronous/deferred reply.
   Status Cancel(Deferred handle);
 
@@ -128,7 +133,9 @@ class ComChannel {
   DLink manager_link;
 
  protected:
-  // Joins notify threads; call from derived destructors before members die.
+  // Removes a pending Notify's registration (a barrier against its
+  // callback). Call from derived destructors, after Close(), before
+  // members die.
   void DrainAsync();
 
   // Protected (not private) so derived channels can declare their tx/rx
@@ -142,7 +149,23 @@ class ComChannel {
       LockRank::kChannel, "transport::ComChannel::receive_mu_"};
 
  private:
-  std::vector<Thread> notify_threads_ COOL_GUARDED_BY(async_mu_);
+  // The outstanding Notify (no callback when there is none).
+  struct PendingNotify {
+    std::uint64_t id = 0;   // its Deferred handle
+    std::uint64_t reg = 0;  // its registration on sim::Reactor::Default()
+    TimePoint deadline{};
+    ReplyCallback callback;
+  };
+
+  Result<Deferred> DeferLocked(std::span<const std::uint8_t> request)
+      COOL_REQUIRES(async_mu_);
+  // The Notify registration's callback: finishes the wait once the reply,
+  // an error, a cancel or the deadline is in.
+  void OnNotifyReady();
+  // Ends the outstanding Notify, if any, with `outcome`.
+  void FinishNotify(Result<ByteBuffer> outcome);
+
+  PendingNotify notify_ COOL_GUARDED_BY(async_mu_);
   std::unordered_set<std::uint64_t> cancelled_ COOL_GUARDED_BY(async_mu_);
   std::uint64_t next_deferred_id_ COOL_GUARDED_BY(async_mu_) = 1;
   bool deferred_outstanding_ COOL_GUARDED_BY(async_mu_) = false;

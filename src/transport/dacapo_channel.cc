@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/deadlock.h"
 #include "common/logging.h"
 #include "qos/classify.h"
 #include "qos/mapping.h"
@@ -269,11 +268,8 @@ Result<std::unique_ptr<ComChannel>> DacapoComManager::OpenChannel(
 }
 
 Result<std::unique_ptr<ComChannel>> DacapoComManager::TryAcceptChannel() {
-  // Bounded by design: TryAccept only runs the setup handshake when a
-  // connection is already pending, the initiator sends CONFIG immediately
-  // after connecting, and every recv inside carries kHandshakeTimeout. A
-  // reactor accept callback may therefore ride it out (DESIGN.md §11).
-  deadlock::ScopedBlockingAllowed handshake_is_bounded;
+  // TryAccept's handshake is bounded, so the reactor accept callback may
+  // run it (see dacapo::Acceptor::TryAccept).
   COOL_ASSIGN_OR_RETURN(
       std::unique_ptr<dacapo::Session> session,
       acceptor_.TryAccept(dacapo::AppAModule::DeliveryMode::kQueue));

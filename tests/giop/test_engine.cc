@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <optional>
+#include <thread>
 
+#include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/thread.h"
 #include "sim/reactor.h"
@@ -371,6 +374,63 @@ TEST(GiopEngineTest, UnwatchableChannelFailsFastWithUnsupported) {
   EXPECT_EQ(client.in_flight(), 0u);
   EXPECT_EQ(client.Locate(Key("obj")).status().code(),
             ErrorCode::kUnsupported);
+}
+
+// Counts continuation runs and queues each outcome's code.
+struct ContinuationLog {
+  GiopClient::Continuation Callback() {
+    return [this](Result<GiopClient::Reply> reply) {
+      ++runs;
+      codes.Push(reply.ok() ? ErrorCode::kOk : reply.status().code());
+    };
+  }
+  std::atomic<int> runs{0};
+  BlockingQueue<ErrorCode> codes;
+};
+
+TEST(GiopEngineTest, AsyncContinuationTimesOutOnce) {
+  Rig rig;
+  ContinuationLog log;
+  GiopClient client(rig.client_channel.get(), {});
+  cdr::Encoder args = client.MakeArgsEncoder();
+  args.PutLong(1);
+  const TimePoint start = Now();
+  ASSERT_TRUE(client
+                  .InvokeAsync(Key("obj"), "late", args.buffer().view(), {},
+                               log.Callback(), milliseconds(50))
+                  .ok());
+  const auto code = log.codes.PopFor(seconds(1));
+  ASSERT_TRUE(code.has_value());
+  EXPECT_EQ(*code, ErrorCode::kDeadlineExceeded);
+  EXPECT_GE(Now() - start, milliseconds(50));
+  EXPECT_EQ(client.in_flight(), 0u);
+
+  // The Reply that comes after all is discarded, not delivered again.
+  GiopServer server(rig.server_channel.get(), EchoDispatch,
+                    GiopServer::Options{});
+  auto server_thread = rig.Serve(server, 1);
+  server_thread.join();
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_EQ(log.runs.load(), 1);
+}
+
+TEST(GiopEngineTest, AsyncContinuationCancelledOnce) {
+  Rig rig;
+  ContinuationLog log;
+  GiopClient client(rig.client_channel.get(), {});
+  cdr::Encoder args = client.MakeArgsEncoder();
+  args.PutLong(1);
+  auto id = client.InvokeAsync(Key("obj"), "doomed", args.buffer().view(), {},
+                               log.Callback());
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(client.PollReply(*id).status().code(),
+            ErrorCode::kFailedPrecondition);  // the continuation owns it
+  ASSERT_TRUE(client.Cancel(*id).ok());
+  const auto code = log.codes.PopFor(seconds(1));
+  ASSERT_TRUE(code.has_value());
+  EXPECT_EQ(*code, ErrorCode::kCancelled);
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_EQ(log.runs.load(), 1);
 }
 
 }  // namespace

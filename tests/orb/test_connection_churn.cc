@@ -4,6 +4,7 @@
 // invariant throughout: the server ORB neither crashes, hangs, nor stops
 // accepting fresh work.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/thread.h"
 #include "orb/stub.h"
@@ -33,15 +35,18 @@ bool WaitUntil(const std::function<bool()>& pred,
   return pred();
 }
 
-// The "Threads:" line of /proc/self/status, or -1 when unreadable.
-int ProcessThreads() {
+// The value of a /proc/self/status line ("Threads:", "VmSize:" in kB),
+// or -1 when unreadable.
+long ProcessStatus(const std::string& key) {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+    if (line.rfind(key, 0) == 0) return std::stol(line.substr(key.size()));
   }
   return -1;
 }
+
+int ProcessThreads() { return static_cast<int>(ProcessStatus("Threads:")); }
 
 sim::LinkProperties QuickLink() {
   sim::LinkProperties link;
@@ -385,6 +390,86 @@ TEST(ClientBindingThreadsTest, DacapoBindingsSpawnNoThreads) {
   EXPECT_EQ(ProcessThreads(), threads_after_one);
   EXPECT_EQ(server.connections_accepted(), static_cast<std::uint64_t>(kStubs));
   stubs.clear();
+  server.Shutdown();
+}
+
+// An asynchronous reply is a continuation on the binding's reply demux,
+// not a thread: 32 async calls in flight leave the thread count where the
+// binding put it.
+TEST(ClientBindingThreadsTest, AsyncCallsInFlightSpawnNoThreads) {
+  sim::Network net(QuickLink());
+  ORB server(&net, "server");
+  auto ref = server.RegisterServant("calc", std::make_shared<CalcServant>(),
+                                    Protocol::kTcp);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  ORB::Options options;
+  options.reactor_threads = 1;
+  ORB client(&net, "client", options);
+  BlockingQueue<bool> replies;
+  Stub stub(&client, *ref);  // dies before the client ORB and the queue
+  ASSERT_TRUE(stub.LocateObject().ok());
+  const int threads_bound = ProcessThreads();
+  ASSERT_GT(threads_bound, 0);
+
+  constexpr int kCalls = 32;
+  for (int i = 0; i < kCalls; ++i) {
+    cdr::Encoder args = stub.MakeArgsEncoder();
+    args.PutString("in flight");
+    ASSERT_TRUE(stub.InvokeAsync("slow_echo", args.buffer().view(),
+                                 [&](Result<Stub::ReplyData> reply) {
+                                   replies.Push(reply.ok());
+                                 })
+                    .ok());
+  }
+  EXPECT_EQ(ProcessThreads(), threads_bound);
+  for (int i = 0; i < kCalls; ++i) {
+    const auto ok = replies.PopFor(seconds(10));
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_TRUE(*ok);
+  }
+  EXPECT_EQ(ProcessThreads(), threads_bound);
+  server.Shutdown();
+}
+
+// A completed asynchronous call leaves nothing behind: 1000 of them, one
+// after another, keep the process's virtual size within 64 MB of where it
+// started.
+TEST(ClientBindingThreadsTest, CompletedAsyncCallsHoldNoMemory) {
+  sim::Network net(QuickLink());
+  ORB server(&net, "server");
+  auto ref = server.RegisterServant("calc", std::make_shared<CalcServant>(),
+                                    Protocol::kTcp);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  ORB::Options options;
+  options.reactor_threads = 1;
+  ORB client(&net, "client", options);
+  BlockingQueue<bool> replies;
+  Stub stub(&client, *ref);
+  ASSERT_TRUE(stub.LocateObject().ok());
+  // A contended thread may otherwise get a fresh 64 MB malloc arena
+  // mid-run. Thread stacks are mapped outside the arenas, so a thread per
+  // call still shows.
+  mallopt(M_ARENA_MAX, 1);
+  const long vm_before_kb = ProcessStatus("VmSize:");
+  ASSERT_GT(vm_before_kb, 0);
+
+  for (int i = 0; i < 1000; ++i) {
+    cdr::Encoder args = stub.MakeArgsEncoder();
+    args.PutString("done");
+    ASSERT_TRUE(stub.InvokeAsync("echo", args.buffer().view(),
+                                 [&](Result<Stub::ReplyData> reply) {
+                                   replies.Push(reply.ok());
+                                 })
+                    .ok());
+    const auto ok = replies.PopFor(seconds(10));
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_TRUE(*ok);
+  }
+  EXPECT_LT(ProcessStatus("VmSize:") - vm_before_kb, 64 * 1024);
   server.Shutdown();
 }
 

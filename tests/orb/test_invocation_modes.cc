@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 
 #include "common/blocking_queue.h"
 #include "orb/stub.h"
+#include "sim/reactor.h"
 #include "test_servants.h"
 
 namespace cool::orb {
@@ -20,6 +23,33 @@ sim::LinkProperties QuickLink() {
   link.latency = microseconds(100);
   return link;
 }
+
+// Collects async callback runs: how many, each outcome's code, and
+// whether every run was on a reactor worker other than the caller's
+// thread.
+class Completions {
+ public:
+  Stub::AsyncCallback Callback() {
+    return [this](Result<Stub::ReplyData> reply) {
+      if (sim::Reactor::CurrentWorkerIndex() < 0 ||
+          ThisThreadId() == caller_) {
+        off_reactor_ = true;
+      }
+      ++runs_;
+      codes_.Push(reply.ok() ? ErrorCode::kOk : reply.status().code());
+    };
+  }
+  // The next outcome's code, or nullopt if none arrives within 1 s.
+  std::optional<ErrorCode> Next() { return codes_.PopFor(seconds(1)); }
+  int runs() const { return runs_.load(); }
+  bool off_reactor() const { return off_reactor_.load(); }
+
+ private:
+  const ThreadId caller_ = ThisThreadId();
+  std::atomic<int> runs_{0};
+  std::atomic<bool> off_reactor_{false};
+  BlockingQueue<ErrorCode> codes_;
+};
 
 class InvocationModesTest : public ::testing::Test {
  protected:
@@ -148,6 +178,71 @@ TEST_F(InvocationModesTest, MultipleAsyncCallbacksAllFire) {
   }
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(seen, (std::vector<corba::Long>{100, 101, 102, 103, 104}));
+}
+
+TEST_F(InvocationModesTest, AsyncReplyRunsCallbackOnceOnTheReactor) {
+  Completions done;
+  {
+    Stub stub(client_.get(), ref_);
+    cdr::Encoder args = stub.MakeArgsEncoder();
+    args.PutString("once");
+    ASSERT_TRUE(
+        stub.InvokeAsync("echo", args.buffer().view(), done.Callback()).ok());
+    EXPECT_EQ(done.Next(), ErrorCode::kOk);
+  }
+  EXPECT_EQ(done.runs(), 1);
+  EXPECT_FALSE(done.off_reactor());
+}
+
+TEST_F(InvocationModesTest, AsyncCallsInFlightFailWhenTheStubUnbinds) {
+  Completions done;
+  Stub stub(client_.get(), ref_);
+  for (int i = 0; i < 5; ++i) {
+    cdr::Encoder args = stub.MakeArgsEncoder();
+    args.PutString("doomed");
+    ASSERT_TRUE(stub.InvokeAsync("slow_echo", args.buffer().view(),
+                                 done.Callback())
+                    .ok());
+  }
+  ASSERT_TRUE(stub.Unbind().ok());
+  // Unbind dropped the binding, whose engine ran every continuation.
+  EXPECT_EQ(done.runs(), 5);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(done.Next(), ErrorCode::kUnavailable);
+  EXPECT_FALSE(done.off_reactor());
+}
+
+TEST_F(InvocationModesTest, AsyncCallsInFlightFailBeforeTheStubIsGone) {
+  Completions done;
+  {
+    Stub stub(client_.get(), ref_);
+    for (int i = 0; i < 5; ++i) {
+      cdr::Encoder args = stub.MakeArgsEncoder();
+      args.PutString("doomed");
+      ASSERT_TRUE(stub.InvokeAsync("slow_echo", args.buffer().view(),
+                                   done.Callback())
+                      .ok());
+    }
+  }
+  EXPECT_EQ(done.runs(), 5);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(done.Next(), ErrorCode::kUnavailable);
+  EXPECT_FALSE(done.off_reactor());
+}
+
+TEST_F(InvocationModesTest, AsyncColocatedCallbackRunsOnceOffTheCallerStack) {
+  auto local_ref = client_->RegisterServant(
+      "local_async", std::make_shared<CalcServant>());
+  ASSERT_TRUE(local_ref.ok());
+  Completions done;
+  {
+    Stub stub(client_.get(), *local_ref);
+    cdr::Encoder args = stub.MakeArgsEncoder();
+    args.PutString("here");
+    ASSERT_TRUE(
+        stub.InvokeAsync("echo", args.buffer().view(), done.Callback()).ok());
+  }
+  EXPECT_EQ(done.runs(), 1);  // before ~Stub returned
+  EXPECT_EQ(done.Next(), ErrorCode::kOk);
+  EXPECT_FALSE(done.off_reactor());
 }
 
 TEST_F(InvocationModesTest, DeferredOnColocatedObjectUnsupported) {

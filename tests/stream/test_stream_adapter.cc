@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
 #include <thread>
+
+#include "sim/reactor.h"
 
 namespace cool::stream {
 namespace {
@@ -15,6 +19,16 @@ sim::LinkProperties QuickLink() {
   link.bandwidth_bps = 0;
   link.latency = microseconds(100);
   return link;
+}
+
+// The "Threads:" line of /proc/self/status, or -1 when unreadable.
+int ProcessThreads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
 }
 
 qos::Capability MediaCapability(corba::Long max_kbps) {
@@ -147,6 +161,38 @@ TEST_F(StreamAdapterTest, ReliableFlowSurvivesLossyLink) {
   EXPECT_GT(stats->frames_received, 10u);
   EXPECT_EQ(stats->frames_lost, 0u);  // ARQ recovered every loss
   ASSERT_TRUE((*flow)->Close().ok());
+}
+
+// A flow costs reactor registrations, not threads: once
+// sim::Reactor::Default() is warm, opening 4 flows and starting their
+// sources leaves the process thread count where it was.
+TEST_F(StreamAdapterTest, OpenFlowsSpawnNoThreads) {
+  (void)sim::Reactor::Default();   // warm: its workers predate the count
+  ASSERT_TRUE(stub_->LocateObject().ok());  // and the control binding
+  const int threads_before = ProcessThreads();
+  ASSERT_GT(threads_before, 0);
+
+  std::vector<std::unique_ptr<FlowConnection>> flows;
+  for (int i = 0; i < 4; ++i) {
+    auto flow = FlowConnection::Open(stub_.get(), net_.get(), "viewer",
+                                     FastSpec(), estimate_);
+    ASSERT_TRUE(flow.ok()) << flow.status();
+    ASSERT_TRUE((*flow)->source().Start().ok());
+    flows.push_back(std::move(flow).value());
+  }
+  // Every sink is up once its flow reports stats.
+  for (const auto& flow : flows) {
+    const TimePoint deadline = Now() + seconds(2);
+    while (!service_->StatsFor(flow->flow_id()).ok() && Now() < deadline) {
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    ASSERT_TRUE(service_->StatsFor(flow->flow_id()).ok());
+  }
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_EQ(ProcessThreads(), threads_before);
+  for (const auto& flow : flows) EXPECT_GT(flow->source().frames_sent(), 0u);
+  for (const auto& flow : flows) ASSERT_TRUE(flow->Close().ok());
+  EXPECT_EQ(service_->active_flows(), 0u);
 }
 
 TEST_F(StreamAdapterTest, StatsForUnknownFlowFails) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -214,6 +215,53 @@ TEST(TcpChannelTest, NotifyDeliversAsynchronously) {
   auto got = results.PopFor(seconds(2));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "async-reply");
+}
+
+TEST(TcpChannelTest, NotifyFailsOnceWhenTheChannelCloses) {
+  Rig rig;
+  auto [client, server] = rig.Establish();
+  std::atomic<int> runs{0};
+  BlockingQueue<ErrorCode> codes;
+  ASSERT_TRUE(client
+                  ->Notify(Msg("never answered"),
+                           [&](Result<ByteBuffer> reply) {
+                             ++runs;
+                             codes.Push(reply.status().code());
+                           })
+                  .ok());
+  client->Close();
+  const auto code = codes.PopFor(seconds(1));
+  ASSERT_TRUE(code.has_value());
+  EXPECT_EQ(*code, ErrorCode::kUnavailable);
+  std::this_thread::sleep_for(milliseconds(20));
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(TcpChannelTest, NotifySharesDefersOneOutstandingRule) {
+  Rig rig;
+  auto [client, server] = rig.Establish();
+  std::atomic<int> runs{0};
+  BlockingQueue<std::string> results;
+  auto callback = [&](Result<ByteBuffer> reply) {
+    ++runs;
+    results.Push(reply.ok() ? reply->ToString() : reply.status().ToString());
+  };
+  ASSERT_TRUE(client->Notify(Msg("first"), callback).ok());
+  EXPECT_EQ(client->Notify(Msg("second"), callback).status().code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(client->Defer(Msg("third")).status().code(),
+            ErrorCode::kFailedPrecondition);
+
+  auto req = server->ReceiveMessage(seconds(2));
+  ASSERT_TRUE(req.ok());
+  EXPECT_EQ(req->ToString(), "first");
+  ASSERT_TRUE(server->Reply(Msg("answer")).ok());
+  const auto got = results.PopFor(seconds(1));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, "answer");
+  EXPECT_EQ(runs.load(), 1);
+  // The conversation is over: the channel takes the next one.
+  EXPECT_TRUE(client->Defer(Msg("next")).ok());
 }
 
 TEST(TcpChannelTest, ReceiveTimesOut) {
